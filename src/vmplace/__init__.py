@@ -32,7 +32,6 @@ from .power import (
     host_power,
     integrate_energy,
     interpolate_power,
-    load_power_models,
     utilization,
 )
 from .schedulers import (

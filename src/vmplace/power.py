@@ -11,11 +11,10 @@ By default a host with no active VMs draws 0 W (it is switched off); set
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ConfigError, InfeasiblePlacementError
+from .errors import InfeasiblePlacementError
 from .model import (
     MIPS_EPS,
     HostSpec,
@@ -61,25 +60,6 @@ DELL_R620 = PowerModel(
 )
 
 BUILTIN_MODELS: Dict[str, PowerModel] = {m.name: m for m in (IBM_X3250, DELL_R620)}
-
-
-def load_power_models(source) -> Dict[str, PowerModel]:
-    """Read power models from a JSON file/path: {"name":..., "samples":[11 floats]} or a list of those."""
-    if hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source) as fh:
-            data = json.load(fh)
-    if isinstance(data, dict):
-        data = [data]
-    models = {}
-    for entry in data:
-        try:
-            model = PowerModel(str(entry["name"]), tuple(float(s) for s in entry["samples"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad power model entry {entry!r}: {exc}") from exc
-        models[model.name] = model
-    return models
 
 
 def _interp(samples: Sequence[float], u: float) -> float:
@@ -188,9 +168,19 @@ def integrate_energy(
 class EnergyEvaluator:
     """Precomputed fast scorer for many candidate placements of one instance.
 
-    Works on gene vectors (host index per VM, in ``instance.vms`` order) and
-    memoizes energies by gene tuple; this is the hot path of the search
-    algorithms and is safe to share between runs on the same instance.
+    Works on gene vectors (host index per VM, in ``instance.vms`` order); this
+    is the hot path of the search algorithms and is safe to share between runs
+    on the same instance.
+
+    :meth:`_compute` is the one load-accounting pass: it sums per-(host,
+    segment) PE and MIPS load in gene order and finds the earliest (segment,
+    host) violation. The evaluator keeps a record of its most recent pass (the
+    genes, the loads and the violation); :meth:`first_violation`,
+    :meth:`fits`, :meth:`fits_all` and :meth:`try_energy` read it when asked
+    about the same genes and run the pass otherwise. Only :meth:`try_energy`
+    turns the recorded loads into watts. Energies are memoized by gene tuple,
+    but only for the vectors :meth:`try_energy` is asked about; a vector
+    memoized as feasible needs no pass in :meth:`first_violation` either.
     """
 
     _MISS = object()
@@ -207,6 +197,8 @@ class EnergyEvaluator:
         self.spans: List[Tuple[int, int]] = []
         for v in instance.vms:
             self.spans.append((start_index[v.start_time], start_index[v.end_time]))
+        # The same runs as tuples of segment indices, cheaper to loop over.
+        self.seg_runs = [tuple(range(a, b)) for a, b in self.spans]
         self.pe = [v.pe_count for v in instance.vms]
         cap = instance.cap_demand_to_core
         # Effective MIPS demand per VM per host (per-core-capped when the
@@ -222,6 +214,14 @@ class EnergyEvaluator:
         )
         self.evaluations = 0
         self._cache: Dict[Tuple[int, ...], Optional[float]] = {}
+        # Record of the last pass. Cell k = host * nseg + segment; a cell is
+        # in _touched (in first-touch order) iff its PE load is non-zero,
+        # because every VM has at least one PE.
+        self._pe_load: List[int] = []
+        self._mips_load: List[float] = []
+        self._touched: List[int] = []
+        self._last_genes: Optional[Tuple[int, ...]] = None
+        self._last_violation: Optional[Tuple[int, int]] = None
 
     def try_energy(self, genes: Tuple[int, ...], cache: bool = True) -> Optional[float]:
         """Total joules of the placement, or None if it violates capacity."""
@@ -229,49 +229,78 @@ class EnergyEvaluator:
             val = self._cache.get(genes, self._MISS)
             if val is not self._MISS:
                 return val
-        val = self._compute(genes)
+        self.evaluations += 1
+        val = None if self._violation(genes) else self._energy()
         if cache:
             if len(self._cache) > self._CACHE_LIMIT:
                 self._cache.clear()
             self._cache[genes] = val
         return val
 
-    def _compute(self, genes) -> Optional[float]:
-        self.evaluations += 1
+    def _violation(self, genes) -> Optional[Tuple[int, int]]:
+        """Earliest violation of ``genes``; afterwards the record holds their loads."""
+        key = genes if type(genes) is tuple else tuple(genes)
+        if key != self._last_genes:
+            self._compute(key)
+        return self._last_violation
+
+    def _compute(self, genes: Tuple[int, ...]) -> Optional[Tuple[int, int]]:
+        """One pass over ``genes``: per-(host, segment) loads, each cell's MIPS
+        summed in gene order, and the earliest (segment_index, host_index)
+        whose capacity is exceeded. The pass becomes the evaluator's record."""
         nseg = self.nseg
-        pe_d: Dict[int, int] = {}
-        mips_d: Dict[int, float] = {}
-        spans = self.spans
+        cells = len(self.host_pe) * nseg
+        pe_l = [0] * cells
+        mips_l = [0.0] * cells
+        touched: List[int] = []
+        seg_runs = self.seg_runs
         eff = self.eff
         pe = self.pe
         for i, h in enumerate(genes):
-            a, b = spans[i]
             e = eff[i][h]
             p = pe[i]
             base = h * nseg
-            for s in range(a, b):
+            for s in seg_runs[i]:
                 k = base + s
-                if k in pe_d:
-                    pe_d[k] += p
-                    mips_d[k] += e
+                if pe_l[k]:
+                    pe_l[k] += p
+                    mips_l[k] += e
                 else:
-                    pe_d[k] = p
-                    mips_d[k] = e
-        total = self.idle_base
+                    pe_l[k] = p
+                    mips_l[k] = e
+                    touched.append(k)
+        worst = None
         host_pe = self.host_pe
         host_mips = self.host_mips
-        seg_len = self.seg_len
-        for k, md in mips_d.items():
+        for k in touched:
             h, s = divmod(k, nseg)
-            cap = host_mips[h]
-            if pe_d[k] > host_pe[h] or md > cap + MIPS_EPS:
-                return None
-            u = md / cap
+            if pe_l[k] > host_pe[h] or mips_l[k] > host_mips[h] + MIPS_EPS:
+                if worst is None or (s, h) < worst:
+                    worst = (s, h)
+        self._pe_load = pe_l
+        self._mips_load = mips_l
+        self._touched = touched
+        self._last_genes = genes
+        self._last_violation = worst
+        return worst
+
+    def _energy(self) -> float:
+        """Total joules of the recorded pass, which must be feasible; cells are
+        summed in first-touch order."""
+        nseg = self.nseg
+        mips_l = self._mips_load
+        host_mips = self.host_mips
+        tables = self.tables
+        seg_len = self.seg_len
+        total = self.idle_base
+        for k in self._touched:
+            h, s = divmod(k, nseg)
+            u = mips_l[k] / host_mips[h]
             if u > 1.0:
                 u = 1.0
-            w = _interp(self.tables[h], u)
+            w = _interp(tables[h], u)
             if self.idle:
-                w -= self.tables[h][0]
+                w -= tables[h][0]
             total += w * seg_len[s]
         return total
 
@@ -280,44 +309,42 @@ class EnergyEvaluator:
 
     def first_violation(self, genes) -> Optional[Tuple[int, int]]:
         """Earliest (segment_index, host_index) where capacity is exceeded."""
-        nseg = self.nseg
-        pe_d: Dict[int, int] = {}
-        mips_d: Dict[int, float] = {}
-        for i, h in enumerate(genes):
-            a, b = self.spans[i]
-            e = self.eff[i][h]
-            p = self.pe[i]
-            base = h * nseg
-            for s in range(a, b):
-                k = base + s
-                if k in pe_d:
-                    pe_d[k] += p
-                    mips_d[k] += e
-                else:
-                    pe_d[k] = p
-                    mips_d[k] = e
-        worst = None
-        for k, md in mips_d.items():
-            h, s = divmod(k, nseg)
-            if pe_d[k] > self.host_pe[h] or md > self.host_mips[h] + MIPS_EPS:
-                if worst is None or (s, h) < worst:
-                    worst = (s, h)
-        return worst
+        key = genes if type(genes) is tuple else tuple(genes)
+        if self._cache.get(key) is not None:
+            return None
+        return self._violation(key)
 
     def fits(self, vm_idx: int, host_idx: int, genes) -> bool:
         """Would assigning VM ``vm_idx`` to ``host_idx`` keep that host feasible,
         given every other VM's current gene?"""
-        a, b = self.spans[vm_idx]
-        for s in range(a, b):
-            pe_load = self.pe[vm_idx]
-            mips_load = self.eff[vm_idx][host_idx]
-            for j, hj in enumerate(genes):
-                if hj == host_idx and j != vm_idx:
-                    aj, bj = self.spans[j]
-                    if aj <= s < bj:
-                        pe_load += self.pe[j]
-                        mips_load += self.eff[j][host_idx]
-            if pe_load > self.host_pe[host_idx] or mips_load > self.host_mips[host_idx] + MIPS_EPS:
+        return self.fits_all((vm_idx,), host_idx, genes)
+
+    def fits_all(self, vms: Sequence[int], host_idx: int, genes) -> bool:
+        """Would assigning every VM in ``vms`` to ``host_idx`` keep that host
+        feasible, given every other VM's current gene?
+
+        Only the segments the moved VMs span are checked.
+        """
+        self._violation(genes)  # the record now holds the loads of ``genes``
+        nseg = self.nseg
+        base = host_idx * nseg
+        extra_pe: Dict[int, int] = {}
+        extra_mips: Dict[int, float] = {}
+        for i in vms:
+            if genes[i] == host_idx:
+                p, e = 0, 0.0
+            else:
+                p, e = self.pe[i], self.eff[i][host_idx]
+            for s in self.seg_runs[i]:
+                k = base + s
+                extra_pe[k] = extra_pe.get(k, 0) + p
+                extra_mips[k] = extra_mips.get(k, 0.0) + e
+        pe_cap = self.host_pe[host_idx]
+        mips_cap = self.host_mips[host_idx] + MIPS_EPS
+        pe_l = self._pe_load
+        mips_l = self._mips_load
+        for k, p in extra_pe.items():
+            if pe_l[k] + p > pe_cap or mips_l[k] + extra_mips[k] > mips_cap:
                 return False
         return True
 

@@ -196,12 +196,10 @@ def move_host(
         if target >= h:
             target += 1
         moved = [i for i, g in enumerate(genes) if g == h]
-        trial = list(genes)
-        for i in moved:
-            trial[i] = target
-            if not ev.fits(i, target, trial):
-                break
-        else:
+        if ev.fits_all(moved, target, genes):
+            trial = list(genes)
+            for i in moved:
+                trial[i] = target
             genes = tuple(trial)
     return genes
 
@@ -358,6 +356,10 @@ def gapa_schedule(
     -> per-gene mutation -> repair -> host move (:func:`move_host`, at the
     same rate as per-gene mutation). Returns the best individual ever seen.
 
+    Each individual is scored as soon as it is built, so a child that the host
+    move leaves unchanged is scored from the load pass repair just made;
+    elites keep the fitness they had.
+
     The host move lets the search empty a whole host in one step. Moving VMs
     one at a time often raises energy first, because a host draws its idle
     watts until its last VM leaves, so single-gene mutation alone stalls in
@@ -376,10 +378,11 @@ def gapa_schedule(
         return fitness(genes, instance, config, idle_hosts_powered, _evaluator=ev)
 
     population: List[Genes] = []
+    fitnesses: List[float] = []
     for _ in range(config.population_size):
         raw = tuple(rng.randrange(m) for _ in range(n))
         population.append(repair(raw, instance, rng, _evaluator=ev))
-    fitnesses = [fit_of(g) for g in population]
+        fitnesses.append(fit_of(population[-1]))
 
     best_genes = population[0]
     best_fit = fitnesses[0]
@@ -390,7 +393,9 @@ def gapa_schedule(
 
     for _generation in range(config.generations):
         ranked = sorted(range(len(population)), key=lambda i: -fitnesses[i])
-        new_pop = [population[i] for i in ranked[: config.elite_count]]
+        elites = ranked[: config.elite_count]
+        new_pop = [population[i] for i in elites]
+        new_fit = [fitnesses[i] for i in elites]
         while len(new_pop) < config.population_size:
             p1, p2 = select_parents(population, fitnesses, rng)
             for child in crossover(p1, p2, config.crossover_prob, rng):
@@ -400,8 +405,9 @@ def gapa_schedule(
                 child = repair(child, instance, rng, _evaluator=ev)
                 child = move_host(child, config.mutation_prob, instance, rng, _evaluator=ev)
                 new_pop.append(child)
+                new_fit.append(fit_of(child))
         population = new_pop
-        fitnesses = [fit_of(g) for g in population]
+        fitnesses = new_fit
         gen_best = max(fitnesses)
         trajectory.append(gen_best)
         for g, f in zip(population, fitnesses):

@@ -1,0 +1,222 @@
+"""Differential tests of the evaluator's load pass against the reference path.
+
+``check_feasibility`` and ``integrate_energy`` never share code with
+``EnergyEvaluator``; every answer the evaluator gives (earliest violation,
+energy, fit checks) is compared with them or with a brute-force recount from
+the VM and host records, including the answers read from its record of the
+last pass.
+"""
+
+import random
+
+import pytest
+
+from vmplace import (
+    EnergyEvaluator,
+    HostSpec,
+    IBM_X3250,
+    ProblemInstance,
+    VmRequest,
+    check_feasibility,
+    integrate_energy,
+    placement_from_genes,
+    UnrepairableError,
+    repair,
+)
+from vmplace.model import MIPS_EPS
+
+from conftest import dell_host, ibm_host, random_small_instance
+
+
+def _expected_violation(inst, genes):
+    seg_of = {t0: s for s, (t0, _t1) in enumerate(inst.segments)}
+    host_of = {h.id: idx for idx, h in enumerate(inst.hosts)}
+    viols = check_feasibility(placement_from_genes(genes, inst), inst)
+    return min(((seg_of[v.time], host_of[v.host_id]) for v in viols), default=None)
+
+
+def _recount_fits(inst, vms, host_idx, genes):
+    """Would moving ``vms`` onto ``host_idx`` keep it feasible? Counted from scratch."""
+    host = inst.hosts[host_idx]
+    cap = inst.cap_demand_to_core
+    trial = [host_idx if i in vms else g for i, g in enumerate(genes)]
+    for t0, _t1 in inst.segments:
+        if not any(inst.vms[i].active_at(t0) for i in vms):
+            continue
+        on = [v for v, g in zip(inst.vms, trial) if g == host_idx and v.active_at(t0)]
+        if sum(v.pe_count for v in on) > host.pe_count:
+            return False
+        if sum(v.demand_mips_on(host, cap) for v in on) > host.total_mips + MIPS_EPS:
+            return False
+    return True
+
+
+def _check_all(ev, inst, genes):
+    """Every evaluator answer on ``genes`` against the reference path."""
+    expected = _expected_violation(inst, genes)
+    assert ev.first_violation(genes) == expected
+    energy = ev.try_energy(tuple(genes))
+    if expected is None:
+        report = integrate_energy(placement_from_genes(genes, inst), inst, ev.idle)
+        assert energy == pytest.approx(report.total_joules, rel=1e-12)
+    else:
+        assert energy is None
+    for i in range(len(inst.vms)):
+        for h in range(len(inst.hosts)):
+            assert ev.fits(i, h, genes) == _recount_fits(inst, {i}, h, genes), (i, h)
+    for src in range(len(inst.hosts)):
+        moved = [i for i, g in enumerate(genes) if g == src]
+        for h in range(len(inst.hosts)):
+            if h != src:
+                assert ev.fits_all(moved, h, genes) == _recount_fits(inst, set(moved), h, genes)
+
+
+def _exact_fill_instance():
+    # 8 one-PE VMs at 4400 MIPS fill a Dell host's 16 x 2200 = 35200 MIPS
+    # exactly with half its cores; a ninth VM overflows MIPS but not PEs.
+    vms = tuple(VmRequest(f"f{i}", 1, 4400.0, 0, 100) for i in range(8))
+    vms += (VmRequest("extra", 1, 0.1, 50, 100),)
+    return ProblemInstance(vms, (dell_host(0), dell_host(1)))
+
+
+def _fractional_instance(seed):
+    # MIPS in multiples of 0.1 on 1-MIPS cores, so sums land on or next to
+    # the capacity with float rounding in either direction.
+    rng = random.Random(seed)
+    hosts = tuple(HostSpec(h, rng.randint(2, 4), 1.0, IBM_X3250) for h in range(3))
+    vms = tuple(
+        VmRequest(
+            f"q{i}", 1, rng.randint(1, 10) / 10.0, rng.randrange(3) * 10, rng.randrange(4, 7) * 10
+        )
+        for i in range(7)
+    )
+    return ProblemInstance(vms, hosts)
+
+
+def _spanning_instance():
+    # Staggered VMs, each covering several segments.
+    vms = tuple(
+        VmRequest(f"s{i}", 1 + i % 2, 1000.0 + 100 * i, 10 * i, 10 * i + 35) for i in range(6)
+    )
+    return ProblemInstance(vms, (ibm_host(0), ibm_host(1), dell_host(2)))
+
+
+def _hand_made_cases():
+    fill = _exact_fill_instance()
+    cases = [(fill, g) for g in [(0,) * 8 + (1,), (0,) * 9, (0,) * 7 + (1, 0), (1,) * 9]]
+    spanning = _spanning_instance()
+    cases += [(spanning, g) for g in [(0,) * 6, (0, 1, 0, 1, 0, 1), (2,) * 6, (0, 0, 1, 1, 2, 2)]]
+    rng = random.Random(11)
+    for seed in range(6):
+        inst = _fractional_instance(seed)
+        cases += [
+            (inst, tuple(rng.randrange(len(inst.hosts)) for _ in inst.vms)) for _ in range(6)
+        ]
+    return cases
+
+
+class TestAgainstReference:
+    def test_random_small_instances(self):
+        rng = random.Random(5)
+        feasible = infeasible = 0
+        for seed in range(40):
+            # Twelve VMs on at most three hosts are often infeasible.
+            inst = random_small_instance(
+                seed, max_vms=12 if seed % 2 else 7, max_hosts=3 + seed % 2
+            )
+            for idle in (False, True):
+                ev = EnergyEvaluator(inst, idle_hosts_powered=idle)
+                for _ in range(6):
+                    genes = tuple(rng.randrange(len(inst.hosts)) for _ in inst.vms)
+                    _check_all(ev, inst, genes)
+                    if _expected_violation(inst, genes) is None:
+                        feasible += 1
+                    else:
+                        infeasible += 1
+        assert feasible > 100 and infeasible > 30
+
+    def test_hand_made_cases(self):
+        for inst, genes in _hand_made_cases():
+            _check_all(EnergyEvaluator(inst), inst, genes)
+
+    def test_exact_fill_is_feasible_and_one_more_is_not(self):
+        inst = _exact_fill_instance()
+        ev = EnergyEvaluator(inst)
+        assert ev.first_violation((0,) * 8 + (1,)) is None
+        assert ev.fits(8, 1, (0,) * 9)
+        assert not ev.fits(8, 0, (0,) * 8 + (1,))
+        # The overflow is in [50, 100), the second segment, on host 0.
+        assert ev.first_violation((0,) * 9) == (1, 0)
+
+    def test_fractional_sums_within_epsilon_fit(self):
+        # 0.1 + 0.2 exceeds 0.3 by float rounding; MIPS_EPS absorbs it.
+        vms = (VmRequest("a", 1, 0.1, 0, 10), VmRequest("b", 1, 0.2, 0, 10))
+        inst = ProblemInstance(vms, (HostSpec(0, 2, 0.15, IBM_X3250),))
+        ev = EnergyEvaluator(inst)
+        assert ev.first_violation((0, 0)) is None
+        assert ev.fits(1, 0, (0, 0))
+        _check_all(ev, inst, (0, 0))
+
+
+class TestLastPassRecord:
+    def _vectors(self, inst, rng, count):
+        return [tuple(rng.randrange(len(inst.hosts)) for _ in inst.vms) for _ in range(count)]
+
+    def _answers(self, ev, inst, genes):
+        return (
+            ev.first_violation(genes),
+            [ev.fits(i, h, genes) for i in range(len(inst.vms)) for h in range(len(inst.hosts))],
+            ev.try_energy(tuple(genes)),
+        )
+
+    def test_interleaved_vectors_match_fresh_evaluators(self):
+        rng = random.Random(17)
+        for seed in range(30):
+            inst = random_small_instance(seed, max_vms=7, max_hosts=4)
+            a, b = self._vectors(inst, rng, 2)
+            shared = EnergyEvaluator(inst)
+            for genes in (a, b, a, b, b, a):
+                assert self._answers(shared, inst, genes) == self._answers(
+                    EnergyEvaluator(inst), inst, genes
+                )
+
+    def test_list_changed_in_place_is_not_read_from_the_record(self):
+        rng = random.Random(23)
+        for seed in range(30):
+            inst = random_small_instance(seed, max_vms=7, max_hosts=4)
+            ev = EnergyEvaluator(inst)
+            genes = list(self._vectors(inst, rng, 1)[0])
+            for _ in range(6):
+                assert ev.first_violation(genes) == _expected_violation(inst, genes)
+                i = rng.randrange(len(genes))
+                genes[i] = rng.randrange(len(inst.hosts))
+                h = rng.randrange(len(inst.hosts))
+                assert ev.fits(i, h, genes) == _recount_fits(inst, {i}, h, genes)
+
+    def test_repair_result_matches_a_fresh_evaluator(self):
+        rng = random.Random(29)
+        for seed in range(20):
+            inst = random_small_instance(seed, max_vms=7, max_hosts=4)
+            shared = EnergyEvaluator(inst)
+            for raw in self._vectors(inst, rng, 3):
+                try:
+                    genes = repair(raw, inst, random.Random(seed), _evaluator=shared)
+                except UnrepairableError:
+                    continue
+                assert genes == repair(raw, inst, random.Random(seed))
+                assert shared.try_energy(genes) == EnergyEvaluator(inst).try_energy(genes)
+
+    def test_cached_feasible_vector_needs_no_pass(self):
+        inst = random_small_instance(3)
+        ev = EnergyEvaluator(inst)
+        genes = (0,) * len(inst.vms)
+        if _expected_violation(inst, genes) is not None:
+            genes = repair(genes, inst, random.Random(0), _evaluator=ev)
+        ev.try_energy(genes)
+        ev.try_energy(tuple((g + 1) % len(inst.hosts) for g in genes))
+        passes = []
+        kernel = ev._compute
+        ev._compute = lambda g: passes.append(g) or kernel(g)
+        assert ev.first_violation(genes) is None
+        assert ev.first_violation(list(genes)) is None
+        assert passes == []
