@@ -18,7 +18,6 @@ from .model import (
     ProblemInstance,
     Violation,
     VmRequest,
-    active_vms,
     check_feasibility,
 )
 from .power import (
@@ -29,7 +28,6 @@ from .power import (
     EnergyEvaluator,
     EnergyReport,
     PowerModel,
-    host_power,
     integrate_energy,
     interpolate_power,
     utilization,
@@ -46,7 +44,6 @@ from .schedulers import (
     fitness,
     from_allocation_tree,
     gapa_schedule,
-    genes_from_placement,
     move_host,
     mutate,
     placement_from_genes,

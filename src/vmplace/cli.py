@@ -23,7 +23,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -199,15 +199,7 @@ def run_experiment(config: ExperimentConfig, instance: Optional[ProblemInstance]
         for point in config.ga_grid:
             point_records: List[RunRecord] = []
             for seed in config.seeds:
-                cfg = GaConfig(
-                    population_size=point.population_size,
-                    generations=point.generations,
-                    crossover_prob=point.crossover_prob,
-                    mutation_prob=point.mutation_prob,
-                    elite_count=point.elite_count,
-                    seed=seed,
-                    fitness_mode=point.fitness_mode,
-                )
+                cfg = replace(point, seed=seed)
                 result = gapa_schedule(instance, cfg, config.idle_hosts_powered)
                 rec = _record_from_result(SOLVER_GAPA, result, cfg)
                 if bfd_kwh is not None:
@@ -385,7 +377,34 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_output_args(p: argparse.ArgumentParser) -> None:
+def _add_run_args(p: argparse.ArgumentParser, grid: bool) -> None:
+    """Arguments of ``experiment`` (``grid``) or of ``solve``, which takes one
+    solver, one grid point and one seed."""
+    _add_instance_args(p)
+    if grid:
+        p.add_argument(
+            "--solvers",
+            default="bfd,gapa",
+            help="comma-separated subset of bfd,gapa,exact (default bfd,gapa)",
+        )
+    else:
+        p.add_argument(
+            "--solver", dest="solvers", choices=(SOLVER_BFD, SOLVER_GAPA, SOLVER_EXACT), default=SOLVER_BFD
+        )
+
+    def grid_arg(flag: str, kind: type, default, help_grid: str) -> None:
+        if grid:
+            p.add_argument(flag, type=kind, action="append", help=help_grid)
+        else:
+            p.add_argument(flag, type=kind, default=default)
+
+    p.add_argument("--population", type=int, default=10)
+    grid_arg("--generations", int, 500, "repeatable (default 500 1000)")
+    grid_arg("--crossover", float, 0.5, "repeatable (default 0.25 0.5 0.75)")
+    p.add_argument("--mutation", type=float, default=0.01)
+    grid_arg("--seed", int, 1, "repeatable (default 1..20)")
+    p.add_argument("--fitness", choices=("energy", "snapshot"), default="energy")
+    p.add_argument("--exact-budget", type=int, default=10_000_000)
     p.add_argument("--out", metavar="PATH", help="report file (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
     p.add_argument("--dump-placements", action="store_true", help="write a placement file per run next to --out")
@@ -395,33 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vmplace", description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="run one solver on one instance")
-    _add_instance_args(p)
-    p.add_argument("--solver", choices=(SOLVER_BFD, SOLVER_GAPA, SOLVER_EXACT), default=SOLVER_BFD)
-    p.add_argument("--population", type=int, default=10)
-    p.add_argument("--generations", type=int, default=500)
-    p.add_argument("--crossover", type=float, default=0.5)
-    p.add_argument("--mutation", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--fitness", choices=("energy", "snapshot"), default="energy")
-    p.add_argument("--exact-budget", type=int, default=10_000_000)
-    _add_output_args(p)
-
-    p = sub.add_parser("experiment", help="run a solver grid and emit a report")
-    _add_instance_args(p)
-    p.add_argument(
-        "--solvers",
-        default="bfd,gapa",
-        help="comma-separated subset of bfd,gapa,exact (default bfd,gapa)",
-    )
-    p.add_argument("--population", type=int, default=10)
-    p.add_argument("--generations", type=int, action="append", help="repeatable (default 500 1000)")
-    p.add_argument("--crossover", type=float, action="append", help="repeatable (default 0.25 0.5 0.75)")
-    p.add_argument("--mutation", type=float, default=0.01)
-    p.add_argument("--seed", type=int, action="append", help="repeatable (default 1..20)")
-    p.add_argument("--fitness", choices=("energy", "snapshot"), default="energy")
-    p.add_argument("--exact-budget", type=int, default=10_000_000)
-    _add_output_args(p)
+    _add_run_args(sub.add_parser("solve", help="run one solver on one instance"), grid=False)
+    _add_run_args(sub.add_parser("experiment", help="run a solver grid and emit a report"), grid=True)
 
     p = sub.add_parser("gen-workload", help="write the bundled sample timetable")
     p.add_argument("--out", metavar="PATH", help="timetable destination (default: stdout)")
@@ -433,37 +427,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ga_config(args, seed: int, generations: int, crossover: float) -> GaConfig:
-    fitness = FITNESS_ENERGY if args.fitness == "energy" else FITNESS_SNAPSHOT_POWER
-    return GaConfig(
-        population_size=args.population,
-        generations=generations,
-        crossover_prob=crossover,
-        mutation_prob=args.mutation,
-        seed=seed,
-        fitness_mode=fitness,
-    )
-
-
-def _config_from_args(args, solvers: Tuple[str, ...], ga_grid: Tuple[GaConfig, ...], seeds: Tuple[int, ...]) -> ExperimentConfig:
-    return ExperimentConfig(
+def _instance_fields(args) -> dict:
+    """The :class:`ExperimentConfig` fields set by :func:`_add_instance_args`."""
+    return dict(
         workload_path=args.workload,
         fleet_path=args.fleet,
-        solvers=solvers,
-        ga_grid=ga_grid,
-        seeds=seeds,
         idle_hosts_powered=args.idle_powered == "on",
         vm_pe_count=args.vm_pes,
         vm_mips_per_pe=args.vm_mips,
         cap_demand_to_core=args.cap_to_core,
-        exact_budget=getattr(args, "exact_budget", 10_000_000),
+    )
+
+
+def _values(arg, default: tuple) -> tuple:
+    """A grid flag's values: repeated (``experiment``), unset, or single (``solve``)."""
+    if arg is None:
+        return default
+    return tuple(arg) if isinstance(arg, list) else (arg,)
+
+
+def cmd_run(args) -> int:
+    """``experiment``, and ``solve`` as an experiment of one grid point and one seed."""
+    fitness = FITNESS_ENERGY if args.fitness == "energy" else FITNESS_SNAPSHOT_POWER
+    grid = tuple(
+        GaConfig(
+            population_size=args.population,
+            generations=g,
+            crossover_prob=c,
+            mutation_prob=args.mutation,
+            fitness_mode=fitness,
+        )
+        for g in _values(args.generations, (500, 1000))
+        for c in _values(args.crossover, (0.25, 0.5, 0.75))
+    )
+    config = ExperimentConfig(
+        **_instance_fields(args),
+        solvers=tuple(s.strip() for s in args.solvers.split(",") if s.strip()),
+        ga_grid=grid,
+        seeds=_values(args.seed, DEFAULT_SEEDS),
+        exact_budget=args.exact_budget,
         output_path=args.out,
         output_format=args.format,
         dump_placements=args.dump_placements,
     )
-
-
-def _emit(records: Sequence[RunRecord], config: ExperimentConfig) -> None:
+    records = run_experiment(config)
     if config.output_path is None:
         emit_report(records, config.output_format, sys.stdout)
     else:
@@ -471,27 +478,6 @@ def _emit(records: Sequence[RunRecord], config: ExperimentConfig) -> None:
             emit_report(records, config.output_format, fh)
         if config.dump_placements:
             _dump_placements(records, config.output_path)
-
-
-def cmd_solve(args) -> int:
-    ga = _ga_config(args, args.seed, args.generations, args.crossover)
-    config = _config_from_args(args, (args.solver,), (ga,), (args.seed,))
-    records = run_experiment(config)
-    _emit(records, config)
-    return EXIT_OK
-
-
-def cmd_experiment(args) -> int:
-    solvers = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
-    generations = tuple(args.generations or (500, 1000))
-    crossovers = tuple(args.crossover or (0.25, 0.5, 0.75))
-    seeds = tuple(args.seed or DEFAULT_SEEDS)
-    grid = tuple(
-        _ga_config(args, seeds[0], g, c) for g in generations for c in crossovers
-    )
-    config = _config_from_args(args, solvers, grid, seeds)
-    records = run_experiment(config)
-    _emit(records, config)
     return EXIT_OK
 
 
@@ -509,15 +495,7 @@ def cmd_gen_workload(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config = ExperimentConfig(
-        workload_path=args.workload,
-        fleet_path=args.fleet,
-        solvers=(SOLVER_BFD,),
-        idle_hosts_powered=args.idle_powered == "on",
-        vm_pe_count=args.vm_pes,
-        vm_mips_per_pe=args.vm_mips,
-        cap_demand_to_core=args.cap_to_core,
-    )
+    config = ExperimentConfig(**_instance_fields(args))
     instance = build_instance(config)
     with open(args.placement) as fh:
         placement = read_placement(fh)
@@ -532,8 +510,8 @@ def cmd_validate(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
-        "solve": cmd_solve,
-        "experiment": cmd_experiment,
+        "solve": cmd_run,
+        "experiment": cmd_run,
         "gen-workload": cmd_gen_workload,
         "validate": cmd_validate,
     }

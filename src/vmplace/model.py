@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 PE_OVERFLOW = "PE_OVERFLOW"
 MIPS_OVERFLOW = "MIPS_OVERFLOW"
@@ -150,19 +150,6 @@ class ProblemInstance:
     def horizon(self) -> int:
         """Latest VM finish time; the energy integration bound."""
         return self.event_times[-1]
-
-
-def active_vms(placement: Placement, instance: ProblemInstance, host_id: int, t: int) -> Set[str]:
-    """VM ids assigned to ``host_id`` whose interval contains ``t``."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if host_id not in instance.host_by_id:
-        raise KeyError(host_id)
-    out = set()
-    for vid, hid in placement.items():
-        if hid == host_id and instance.vms[instance.vm_index[vid]].active_at(t):
-            out.add(vid)
-    return out
 
 
 def _require_total(placement: Placement, instance: ProblemInstance) -> None:

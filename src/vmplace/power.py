@@ -37,8 +37,11 @@ class PowerModel:
     def __post_init__(self):
         if len(self.samples) != 11:
             raise ValueError(f"power model {self.name!r}: need 11 samples, got {len(self.samples)}")
-        if any(s < 0 for s in self.samples):
+        if min(self.samples) < 0:
             raise ValueError(f"power model {self.name!r}: samples must be >= 0")
+        # A busy host must draw power: fitness and the BFD ratio divide by it.
+        if 0 in self.samples[1:]:
+            raise ValueError(f"power model {self.name!r}: samples at utilization 0.1-1.0 must be > 0")
 
     @property
     def idle_watts(self) -> float:
@@ -98,22 +101,6 @@ def utilization(host: HostSpec, active: Iterable[VmRequest], cap_demand_to_core:
     if demand > host.total_mips + MIPS_EPS:
         raise ValueError(f"host {host.id}: MIPS demand {demand} exceeds capacity {host.total_mips}")
     return min(demand / host.total_mips, 1.0)
-
-
-def host_power(
-    host: HostSpec,
-    active: Iterable[VmRequest],
-    powered_on: bool = True,
-    cap_demand_to_core: bool = False,
-) -> float:
-    """Watts drawn by ``host`` with ``active`` VMs; an off, empty host draws 0 W."""
-    active = tuple(active)
-    if not powered_on:
-        if active:
-            raise ValueError(f"host {host.id} is off but has {len(active)} active VMs")
-        return 0.0
-    u = utilization(host, active, cap_demand_to_core)
-    return interpolate_power(host.power_model, u)
 
 
 @dataclass(frozen=True)
@@ -176,9 +163,10 @@ class EnergyEvaluator:
     segment) PE and MIPS load in gene order and finds the earliest (segment,
     host) violation. The evaluator keeps a record of its most recent pass (the
     genes, the loads and the violation); :meth:`first_violation`,
-    :meth:`fits`, :meth:`fits_all` and :meth:`try_energy` read it when asked
-    about the same genes and run the pass otherwise. Only :meth:`try_energy`
-    turns the recorded loads into watts. Energies are memoized by gene tuple,
+    :meth:`fits`, :meth:`fits_all`, :meth:`try_energy` and
+    :meth:`snapshot_power` read it when asked about the same genes and run the
+    pass otherwise. Only :meth:`try_energy` and :meth:`snapshot_power` turn the
+    recorded loads into watts. Energies are memoized by gene tuple,
     but only for the vectors :meth:`try_energy` is asked about; a vector
     memoized as feasible needs no pass in :meth:`first_violation` either.
     """
@@ -304,9 +292,6 @@ class EnergyEvaluator:
             total += w * seg_len[s]
         return total
 
-    def feasible(self, genes) -> bool:
-        return self.try_energy(tuple(genes)) is not None
-
     def first_violation(self, genes) -> Optional[Tuple[int, int]]:
         """Earliest (segment_index, host_index) where capacity is exceeded."""
         key = genes if type(genes) is tuple else tuple(genes)
@@ -355,22 +340,17 @@ class EnergyEvaluator:
         Assumes a feasible gene vector.
         """
         nseg = self.nseg
-        demand: Dict[int, float] = {}
-        seg_total = [0.0] * nseg
-        for i, h in enumerate(genes):
-            a, b = self.spans[i]
-            r = self.eff[i][h]
-            base = h * nseg
-            for s in range(a, b):
-                k = base + s
-                demand[k] = demand.get(k, 0.0) + r
-                seg_total[s] += r
-        if not seg_total:
+        if not nseg:
             return 0.0
+        self._violation(genes)  # the record now holds the loads of ``genes``
+        mips_l = self._mips_load
+        seg_total = [0.0] * nseg
+        for k in self._touched:
+            seg_total[k % nseg] += mips_l[k]
         peak = max(range(nseg), key=lambda s: (seg_total[s], -s))
         total = 0.0
         for h in range(len(self.host_mips)):
-            md = demand.get(h * nseg + peak, 0.0)
+            md = mips_l[h * nseg + peak]
             if md > 0.0:
                 u = min(md / self.host_mips[h], 1.0)
                 total += _interp(self.tables[h], u)

@@ -18,7 +18,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     BudgetExceededError,
@@ -94,26 +94,14 @@ def placement_from_genes(genes: Sequence[int], instance: ProblemInstance) -> Pla
     return {v.id: instance.hosts[h].id for v, h in zip(instance.vms, genes)}
 
 
-def genes_from_placement(placement: Placement, instance: ProblemInstance) -> Genes:
-    host_pos = {h.id: idx for idx, h in enumerate(instance.hosts)}
-    return tuple(host_pos[placement[v.id]] for v in instance.vms)
-
-
 # ---------------------------------------------------------------------------
 # Genetic operators
 
 
-def fitness(
-    chromosome: Sequence[int],
-    instance: ProblemInstance,
-    config: GaConfig,
-    idle_hosts_powered: bool = False,
-    _evaluator: Optional[EnergyEvaluator] = None,
-) -> float:
+def fitness(chromosome: Sequence[int], ev: EnergyEvaluator, config: GaConfig) -> float:
     """Reciprocal of total energy (joules), or of aggregate watts at the peak
-    instant in snapshot mode. Higher is better. The chromosome must already be
-    feasible (repair first)."""
-    ev = _evaluator or EnergyEvaluator(instance, idle_hosts_powered)
+    instant in snapshot mode, as ``ev`` scores them. Higher is better. The
+    chromosome must already be feasible (repair first)."""
     genes = tuple(chromosome)
     energy = ev.try_energy(genes)
     if energy is None:
@@ -170,13 +158,7 @@ def mutate(c: Genes, prob: float, host_count: int, rng: random.Random) -> Genes:
     return tuple(genes)
 
 
-def move_host(
-    c: Genes,
-    prob: float,
-    instance: ProblemInstance,
-    rng: random.Random,
-    _evaluator: Optional[EnergyEvaluator] = None,
-) -> Genes:
+def move_host(c: Genes, prob: float, ev: EnergyEvaluator, rng: random.Random) -> Genes:
     """Host-level mutation on the allocation tree.
 
     Each host node, with probability ``prob``, hands all of its VMs to one
@@ -184,10 +166,9 @@ def move_host(
     every moved VM next to its own; otherwise nothing moves. Only the target's
     load grows, so a feasible input gives a feasible output.
     """
-    m = len(instance.hosts)
+    m = len(ev.instance.hosts)
     if prob <= 0.0 or m < 2:
         return c
-    ev = _evaluator or EnergyEvaluator(instance)
     genes = c
     for h in range(m):
         if rng.random() >= prob:
@@ -204,12 +185,7 @@ def move_host(
     return genes
 
 
-def repair(
-    c: Sequence[int],
-    instance: ProblemInstance,
-    rng: random.Random,
-    _evaluator: Optional[EnergyEvaluator] = None,
-) -> Genes:
+def repair(c: Sequence[int], ev: EnergyEvaluator, rng: random.Random) -> Genes:
     """Return a feasible chromosome; feasible inputs pass through unchanged.
 
     While violations remain: at the earliest violating (host, interval), evict
@@ -225,10 +201,9 @@ def repair(
     Raises UnrepairableError once the move budget is spent, which in practice
     only happens when demand genuinely exceeds fleet capacity.
     """
-    ev = _evaluator or EnergyEvaluator(instance)
     genes = list(c)
     n = len(genes)
-    m = len(instance.hosts)
+    m = len(ev.instance.hosts)
     stall = max(50, 5 * n)
     limit = max(400, 40 * n)
     moves = 0
@@ -337,7 +312,6 @@ def bfd_schedule(instance: ProblemInstance, idle_hosts_powered: bool = False) ->
     report = integrate_energy(placement, instance, idle_hosts_powered)
     stats = {
         "solver": "bfd",
-        "evaluations": n * m,
         "wall_time_s": time.perf_counter() - t_begin,
     }
     return SolveResult(placement, report, stats)
@@ -374,15 +348,12 @@ def gapa_schedule(
     n = len(instance.vms)
     m = len(instance.hosts)
 
-    def fit_of(genes: Genes) -> float:
-        return fitness(genes, instance, config, idle_hosts_powered, _evaluator=ev)
-
     population: List[Genes] = []
     fitnesses: List[float] = []
     for _ in range(config.population_size):
         raw = tuple(rng.randrange(m) for _ in range(n))
-        population.append(repair(raw, instance, rng, _evaluator=ev))
-        fitnesses.append(fit_of(population[-1]))
+        population.append(repair(raw, ev, rng))
+        fitnesses.append(fitness(population[-1], ev, config))
 
     best_genes = population[0]
     best_fit = fitnesses[0]
@@ -402,10 +373,10 @@ def gapa_schedule(
                 if len(new_pop) >= config.population_size:
                     break
                 child = mutate(child, config.mutation_prob, m, rng)
-                child = repair(child, instance, rng, _evaluator=ev)
-                child = move_host(child, config.mutation_prob, instance, rng, _evaluator=ev)
+                child = repair(child, ev, rng)
+                child = move_host(child, config.mutation_prob, ev, rng)
                 new_pop.append(child)
-                new_fit.append(fit_of(child))
+                new_fit.append(fitness(child, ev, config))
         population = new_pop
         fitnesses = new_fit
         gen_best = max(fitnesses)

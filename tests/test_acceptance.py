@@ -30,7 +30,6 @@ from vmplace import (
     exact_schedule,
     expand,
     gapa_schedule,
-    genes_from_placement,
     integrate_energy,
     interpolate_power,
     mutate,
@@ -288,7 +287,7 @@ def _random_feasible_case(seed: int):
     inst = ProblemInstance(vms, hosts)
     # Round-robin, then repair to guarantee feasibility.
     genes = repair(
-        tuple(i % m for i in range(n)), inst, random.Random(seed + 1)
+        tuple(i % m for i in range(n)), EnergyEvaluator(inst), random.Random(seed + 1)
     )
     return inst, placement_from_genes(genes, inst)
 
@@ -330,7 +329,7 @@ def test_acceptance_6_property_suites():
         inst = _oracle_corpus_instance(300 + seed)
         m = len(inst.hosts)
         genes = repair(
-            tuple(rng.randrange(m) for _ in inst.vms), inst, random.Random(seed)
+            tuple(rng.randrange(m) for _ in inst.vms), EnergyEvaluator(inst), random.Random(seed)
         )
         ok = ok and not check_feasibility(placement_from_genes(genes, inst), inst)
 

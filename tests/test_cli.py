@@ -24,6 +24,22 @@ from vmplace.cli import (
 )
 from vmplace.schedulers import GaConfig
 
+#: Five 1-PE VMs in one session: more than one 4-PE host can hold.
+FIVE_VM_TIMETABLE = (
+    "day,subject,class_id,group_id,students,slot_mask,duration_s\n"
+    "6,1,C1,G1,5,123------------,8100\n"
+)
+
+
+def _fleet_json(samples):
+    """A fleet of two 16-PE hosts whose power curve is ``samples``."""
+    return json.dumps(
+        {
+            "power_models": [{"name": "curve", "samples": list(samples)}],
+            "entries": [{"model": "curve", "count": 2, "pe_count": 16, "mips_per_pe": 2200.0}],
+        }
+    )
+
 
 def small_config(**overrides):
     """An experiment on the bundled workload that finishes in well under a second."""
@@ -277,6 +293,50 @@ class TestMain:
 
     def test_missing_file_exits_io(self):
         assert main(["solve", "--workload", "/does/not/exist.csv"]) == EXIT_IO
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            pytest.param(["experiment", "--workload", "bad.csv"], EXIT_CONFIG, id="experiment-malformed-workload"),
+            pytest.param(
+                ["validate", "--workload", "bad.csv", "--placement", "p"], EXIT_CONFIG, id="validate-malformed-workload"
+            ),
+            pytest.param(["validate", "--placement", "bad.placement"], EXIT_CONFIG, id="validate-malformed-placement"),
+            pytest.param(["experiment", "--workload", "missing.csv"], EXIT_IO, id="experiment-missing-file"),
+            pytest.param(
+                ["validate", "--workload", "missing.csv", "--placement", "p"], EXIT_IO, id="validate-missing-file"
+            ),
+            pytest.param(
+                ["solve", "--solver", "gapa", "--workload", "five.csv", "--fleet", "one-host.json"],
+                EXIT_INFEASIBLE,
+                id="solve-gapa-demand-above-fleet",
+            ),
+            pytest.param(
+                ["solve", "--solver", "gapa", "--workload", "five.csv", "--fleet", "zero.json"],
+                EXIT_CONFIG,
+                id="solve-gapa-all-zero-curve",
+            ),
+            pytest.param(
+                ["solve", "--solver", "gapa", "--workload", "five.csv", "--fleet", "zero-below-full.json"],
+                EXIT_CONFIG,
+                id="solve-gapa-zero-below-full-load-curve",
+            ),
+        ],
+    )
+    def test_exit_code_matrix(self, argv, expected, tmp_path, monkeypatch, capsys):
+        """Typed errors map to exit codes 2, 3 and 4 with an ``error:`` line.
+        ``test_bad_workload_exits_config``, ``test_missing_file_exits_io`` and
+        ``test_infeasible_placement_exits_infeasible`` cover the other cells."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.csv").write_text("not,a,timetable\n")
+        (tmp_path / "bad.placement").write_text("broken-line\n")
+        (tmp_path / "five.csv").write_text(FIVE_VM_TIMETABLE)
+        (tmp_path / "one-host.json").write_text(json.dumps({"entries": [{"model": "ibm_x3250", "count": 1}]}))
+        (tmp_path / "zero.json").write_text(_fleet_json([0.0] * 11))
+        (tmp_path / "zero-below-full.json").write_text(_fleet_json([0.0] * 10 + [263.0]))
+        assert main(argv) == expected
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_infeasible_placement_exits_infeasible(self, tmp_path):
         # All 211 single-core VMs on one 16-core host cannot be feasible.

@@ -2,11 +2,14 @@
 
 Each digest is a SHA-256 over the GA placement, the ``repr`` of every
 trajectory value, the GA evaluation count, the exact GA energy and the BFD
-placement. The literals were recorded before the evaluator's load accounting
-was rewritten; a change meant to keep behaviour must leave them as they are.
+placement. The energy-mode literals were recorded before the evaluator's load
+accounting was rewritten, the snapshot-mode ones before ``snapshot_power``
+came to read the evaluator's last load pass; a change meant to keep behaviour
+must leave them as they are.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -16,6 +19,7 @@ from vmplace import (
     GaConfig,
     ProblemInstance,
     SlotConfig,
+    VmRequest,
     bfd_schedule,
     build_fleet,
     expand,
@@ -23,7 +27,7 @@ from vmplace import (
     parse_timetable,
 )
 
-from conftest import worked_example_instance
+from conftest import dell_host, ibm_host, worked_example_instance
 
 
 def _lab_instance() -> ProblemInstance:
@@ -33,9 +37,26 @@ def _lab_instance() -> ProblemInstance:
     return ProblemInstance(tuple(vms), tuple(hosts), cap_demand_to_core=False)
 
 
-def _digest(instance: ProblemInstance, config: GaConfig) -> str:
-    ga = gapa_schedule(instance, config)
-    bfd = bfd_schedule(instance)
+def _fractional_instance(seed: int, cap_demand_to_core: bool) -> ProblemInstance:
+    """Twelve VMs with 0.1-multiple per-core MIPS, most spanning several segments."""
+    rng = random.Random(seed)
+    hosts = (ibm_host(0), dell_host(1), ibm_host(2), ibm_host(3))
+    vms = tuple(
+        VmRequest(
+            f"v{i}",
+            rng.randint(1, 2),
+            rng.randint(5000, 30000) / 10.0,
+            rng.randrange(0, 6) * 600,
+            rng.randrange(1, 5) * 600,
+        )
+        for i in range(12)
+    )
+    return ProblemInstance(vms, hosts, cap_demand_to_core=cap_demand_to_core)
+
+
+def _digest(instance: ProblemInstance, config: GaConfig, idle: bool = False) -> str:
+    ga = gapa_schedule(instance, config, idle)
+    bfd = bfd_schedule(instance, idle)
     parts = [
         repr(sorted(ga.placement.items())),
         repr([repr(f) for f in ga.stats["trajectory"]]),
@@ -64,3 +85,30 @@ def test_lab_instance_golden():
     assert _digest(_lab_instance(), config) == (
         "30a38b729c8a2177eb63899a83e54a70a02da7c7f8df3c13c530e5bf6cebd067"
     )
+
+
+SNAPSHOT_INSTANCES = {
+    "worked": worked_example_instance,
+    "lab": _lab_instance,
+    "fractional": lambda: _fractional_instance(7, cap_demand_to_core=False),
+    "fractional-capped": lambda: _fractional_instance(8, cap_demand_to_core=True),
+}
+
+
+@pytest.mark.parametrize(
+    "name, idle, expected",
+    [
+        ("worked", False, "17acf32832a5550e6315a3f08446c72893b5a61fe5acf83901921566b8d3a52b"),
+        ("worked", True, "b97ca3cfb7382434d2136699357ae92fb34a6e2a4dc171e86d407ac5920ca79d"),
+        ("lab", False, "c60459267a50e8c87fe328c82ebf381238475364283f046eb85bc975c207c3a1"),
+        ("lab", True, "ad9919d32f778262609eb2d52e66f8bce719f1a60c2b96628da4ae632beb2bc2"),
+        ("fractional", False, "fcadea4d0cecb973c914f88b672905f5256cddf67fd50c962b3e731b25972330"),
+        ("fractional", True, "4eda144281e23fdb9cb8bed0e47135f00e4cf348687cd5366a5b65b43a96d498"),
+        ("fractional-capped", False, "2821760f4f10c6d1ea3b42be750c4bab41c9aa66f29e585d1b46ee090a296fd6"),
+        ("fractional-capped", True, "dff2d2aeb2ad83d70474bb6b2825b2245ab9fe9a4287d57b8f77fce21b480d02"),
+    ],
+)
+def test_snapshot_mode_golden(name, idle, expected):
+    generations = 30 if name == "lab" else 200
+    config = GaConfig(generations=generations, seed=1, fitness_mode="snapshot_power")
+    assert _digest(SNAPSHOT_INSTANCES[name](), config, idle) == expected

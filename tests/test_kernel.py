@@ -200,10 +200,10 @@ class TestLastPassRecord:
             shared = EnergyEvaluator(inst)
             for raw in self._vectors(inst, rng, 3):
                 try:
-                    genes = repair(raw, inst, random.Random(seed), _evaluator=shared)
+                    genes = repair(raw, shared, random.Random(seed))
                 except UnrepairableError:
                     continue
-                assert genes == repair(raw, inst, random.Random(seed))
+                assert genes == repair(raw, EnergyEvaluator(inst), random.Random(seed))
                 assert shared.try_energy(genes) == EnergyEvaluator(inst).try_energy(genes)
 
     def test_cached_feasible_vector_needs_no_pass(self):
@@ -211,7 +211,7 @@ class TestLastPassRecord:
         ev = EnergyEvaluator(inst)
         genes = (0,) * len(inst.vms)
         if _expected_violation(inst, genes) is not None:
-            genes = repair(genes, inst, random.Random(0), _evaluator=ev)
+            genes = repair(genes, ev, random.Random(0))
         ev.try_energy(genes)
         ev.try_energy(tuple((g + 1) % len(inst.hosts) for g in genes))
         passes = []

@@ -8,7 +8,6 @@ from vmplace import (
     HostSpec,
     ProblemInstance,
     VmRequest,
-    active_vms,
     check_feasibility,
 )
 
@@ -158,22 +157,3 @@ class TestCheckFeasibility:
             check_feasibility({"a": 0, "ghost": 0}, inst)
         with pytest.raises(ValueError):
             check_feasibility({"a": 99}, inst)
-
-
-class TestActiveVms:
-    def test_filters_by_host_and_time(self):
-        vms = (
-            VmRequest("a", 1, 100.0, 0, 10),
-            VmRequest("b", 1, 100.0, 5, 10),
-            VmRequest("c", 1, 100.0, 0, 10),
-        )
-        inst = ProblemInstance(vms, (ibm_host(0), ibm_host(1)))
-        placement = {"a": 0, "b": 0, "c": 1}
-        assert active_vms(placement, inst, 0, 0) == {"a"}
-        assert active_vms(placement, inst, 0, 7) == {"a", "b"}
-        assert active_vms(placement, inst, 0, 10) == {"b"}
-        assert active_vms(placement, inst, 1, 3) == {"c"}
-        with pytest.raises(ValueError):
-            active_vms(placement, inst, 0, -1)
-        with pytest.raises(KeyError):
-            active_vms(placement, inst, 9, 0)

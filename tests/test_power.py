@@ -15,7 +15,6 @@ from vmplace import (
     PowerModel,
     ProblemInstance,
     VmRequest,
-    host_power,
     integrate_energy,
     interpolate_power,
     utilization,
@@ -46,6 +45,15 @@ class TestPowerModel:
             PowerModel("x", (1.0,) * 12)
         with pytest.raises(ValueError):
             PowerModel("x", (-0.1,) + (1.0,) * 10)
+
+    def test_busy_samples_must_be_positive(self):
+        assert PowerModel("x", (0.0,) + (1.0,) * 10).idle_watts == 0.0
+        with pytest.raises(ValueError):
+            PowerModel("x", (0.0,) * 11)
+        with pytest.raises(ValueError):
+            PowerModel("x", (0.0,) * 10 + (100.0,))
+        with pytest.raises(ValueError):
+            PowerModel("x", (1.0,) * 5 + (0.0,) + (1.0,) * 5)
 
 
 class TestInterpolatePower:
@@ -109,23 +117,6 @@ class TestUtilization:
         too_hot = [VmRequest("a", 4, 3000.0, 0, 10)]
         with pytest.raises(ValueError):
             utilization(host, too_hot)
-
-
-class TestHostPower:
-    def test_off_empty_draws_zero(self):
-        assert host_power(ibm_host(0), (), powered_on=False) == 0.0
-
-    def test_off_with_active_vms_is_an_error(self):
-        with pytest.raises(ValueError):
-            host_power(ibm_host(0), [VmRequest("a", 1, 100.0, 0, 10)], powered_on=False)
-
-    def test_on_empty_draws_idle(self):
-        assert host_power(ibm_host(0), ()) == 41.6
-
-    def test_matches_curve(self):
-        host = ibm_host(0)
-        vms = [VmRequest("a", 2, 2933.0, 0, 10)]  # u = 0.5
-        assert host_power(host, vms) == 73.0
 
 
 class TestIntegrateEnergy:
