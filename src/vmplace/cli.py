@@ -36,7 +36,7 @@ from .errors import (
     UnrepairableError,
 )
 from .model import Placement, ProblemInstance
-from .power import KWH_PER_JOULE, integrate_energy
+from .power import KWH_PER_JOULE, integrate_energy, ordered_sum
 from .schedulers import (
     FITNESS_ENERGY,
     FITNESS_SNAPSHOT_POWER,
@@ -208,7 +208,7 @@ def run_experiment(config: ExperimentConfig, instance: Optional[ProblemInstance]
             records.extend(point_records)
             for how in ("mean", "min"):
                 vals = [r.total_kwh for r in point_records]
-                agg_kwh = sum(vals) / len(vals) if how == "mean" else min(vals)
+                agg_kwh = ordered_sum(vals) / len(vals) if how == "mean" else min(vals)
                 agg = RunRecord(
                     solver=SOLVER_GAPA,
                     aggregate=how,

@@ -11,8 +11,11 @@ By default a host with no active VMs draws 0 W (it is switched off); set
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import compress
+from operator import ne
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import InfeasiblePlacementError
 from .model import (
@@ -77,6 +80,15 @@ def _interp(samples: Sequence[float], u: float) -> float:
     return samples[i] + frac * (samples[i + 1] - samples[i])
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum. Unlike ``sum()``, which compensates rounding
+    from Python 3.12 on, it gives the same bits on every Python version."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def interpolate_power(model: PowerModel, u: float) -> float:
     """Watts drawn at utilization ``u``; exact at the 11 sample points."""
     if not 0.0 <= u <= 1.0:
@@ -95,7 +107,7 @@ def utilization(host: HostSpec, active: Iterable[VmRequest], cap_demand_to_core:
     """
     active = tuple(active)
     pe_demand = sum(v.pe_count for v in active)
-    demand = sum(v.demand_mips_on(host, cap_demand_to_core) for v in active)
+    demand = ordered_sum(v.demand_mips_on(host, cap_demand_to_core) for v in active)
     if pe_demand > host.pe_count:
         raise ValueError(f"host {host.id}: PE demand {pe_demand} exceeds capacity {host.pe_count}")
     if demand > host.total_mips + MIPS_EPS:
@@ -148,7 +160,7 @@ def integrate_energy(
                 u, watts = 0.0, 0.0
             per_host[host.id] += watts * (t1 - t0)
             segments.append((t0, t1, host.id, u, watts))
-    total = sum(per_host.values())
+    total = ordered_sum(per_host.values())
     return EnergyReport(per_host, total, total * KWH_PER_JOULE, tuple(segments))
 
 
@@ -159,16 +171,19 @@ class EnergyEvaluator:
     is the hot path of the search algorithms and is safe to share between runs
     on the same instance.
 
-    :meth:`_compute` is the one load-accounting pass: it sums per-(host,
-    segment) PE and MIPS load in gene order and finds the earliest (segment,
-    host) violation. The evaluator keeps a record of its most recent pass (the
-    genes, the loads and the violation); :meth:`first_violation`,
-    :meth:`fits`, :meth:`fits_all`, :meth:`try_energy` and
-    :meth:`snapshot_power` read it when asked about the same genes and run the
-    pass otherwise. Only :meth:`try_energy` and :meth:`snapshot_power` turn the
-    recorded loads into watts. Energies are memoized by gene tuple,
-    but only for the vectors :meth:`try_energy` is asked about; a vector
-    memoized as feasible needs no pass in :meth:`first_violation` either.
+    The evaluator keeps one record of per-(host, segment) load for the genes
+    it was last asked about: each cell's VMs in ascending index order, its PE
+    and MIPS load, the set of violating cells and a cached energy term per
+    cell. :meth:`_compute` moves the record from its genes to the requested
+    ones and recounts only the cells whose VM set changed, from their VMs in
+    index order, so every load equals a count from scratch bit for bit; the
+    first pass is a move from the empty record. :meth:`first_violation`,
+    :meth:`fits`, :meth:`fits_all`, :meth:`host_vms`, :meth:`try_energy` and
+    :meth:`snapshot_power` read the record, moving it first when asked about
+    other genes. Only :meth:`try_energy` and :meth:`snapshot_power` turn loads
+    into watts. Energies are memoized by gene tuple, but only for the vectors
+    :meth:`try_energy` is asked about; a vector memoized as feasible needs no
+    pass in :meth:`first_violation` either.
     """
 
     _MISS = object()
@@ -180,13 +195,17 @@ class EnergyEvaluator:
         segs = instance.segments
         self.nseg = len(segs)
         self.seg_len = [t1 - t0 for t0, t1 in segs]
+        m = len(instance.hosts)
+        self.host_count = m
         start_index = {t: i for i, t in enumerate(instance.event_times)}
         # Each VM occupies a contiguous run of segments [a, b).
         self.spans: List[Tuple[int, int]] = []
         for v in instance.vms:
             self.spans.append((start_index[v.start_time], start_index[v.end_time]))
-        # The same runs as tuples of segment indices, cheaper to loop over.
-        self.seg_runs = [tuple(range(a, b)) for a, b in self.spans]
+        # Cell k = segment * host_count + host, so cells sort by (segment,
+        # host). Each VM's segment run as cell offsets: VM i on host h
+        # occupies cells off + h for off in cell_runs[i].
+        self.cell_runs = [tuple(range(a * m, b * m, m)) for a, b in self.spans]
         self.pe = [v.pe_count for v in instance.vms]
         cap = instance.cap_demand_to_core
         # Effective MIPS demand per VM per host (per-core-capped when the
@@ -196,20 +215,34 @@ class EnergyEvaluator:
         ]
         self.host_pe = [h.pe_count for h in instance.hosts]
         self.host_mips = [h.total_mips for h in instance.hosts]
+        self.mips_cap = [c + MIPS_EPS for c in self.host_mips]
         self.tables = [h.power_model.samples for h in instance.hosts]
         self.idle_base = (
-            sum(t[0] for t in self.tables) * instance.horizon if idle_hosts_powered else 0.0
+            ordered_sum(t[0] for t in self.tables) * instance.horizon if idle_hosts_powered else 0.0
         )
         self.evaluations = 0
         self._cache: Dict[Tuple[int, ...], Optional[float]] = {}
-        # Record of the last pass. Cell k = host * nseg + segment; a cell is
-        # in _touched (in first-touch order) iff its PE load is non-zero,
-        # because every VM has at least one PE.
-        self._pe_load: List[int] = []
-        self._mips_load: List[float] = []
-        self._touched: List[int] = []
+        # The record of the last pass; the first pass builds it empty, so an
+        # evaluator used only for its tables (as BFD uses it) never pays for it.
         self._last_genes: Optional[Tuple[int, ...]] = None
         self._last_violation: Optional[Tuple[int, int]] = None
+
+    def _empty_record(self) -> None:
+        """Start the record with no VM placed (host -1)."""
+        cells = self.host_count * self.nseg
+        self._last_genes = (-1,) * len(self.instance.vms)
+        self._vms_at: List[List[int]] = [[] for _ in range(cells)]
+        self._pe_load = [0] * cells
+        self._mips_load = [0.0] * cells
+        self._bad: Set[int] = set()
+        # _term[k] is cell k's joules at its current load, unless k is in
+        # _stale (its load changed since the last energy). _lead maps each
+        # occupied cell to its sort key, lowest VM * cells + cell: a pass over
+        # the genes in index order first touches the cells in that order,
+        # which is (lowest VM, segment).
+        self._term = [0.0] * cells
+        self._stale: Set[int] = set()
+        self._lead: Dict[int, int] = {}
 
     def try_energy(self, genes: Tuple[int, ...], cache: bool = True) -> Optional[float]:
         """Total joules of the placement, or None if it violates capacity."""
@@ -233,63 +266,99 @@ class EnergyEvaluator:
         return self._last_violation
 
     def _compute(self, genes: Tuple[int, ...]) -> Optional[Tuple[int, int]]:
-        """One pass over ``genes``: per-(host, segment) loads, each cell's MIPS
-        summed in gene order, and the earliest (segment_index, host_index)
-        whose capacity is exceeded. The pass becomes the evaluator's record."""
-        nseg = self.nseg
-        cells = len(self.host_pe) * nseg
-        pe_l = [0] * cells
-        mips_l = [0.0] * cells
-        touched: List[int] = []
-        seg_runs = self.seg_runs
-        eff = self.eff
+        """Move the record to ``genes`` and return the earliest
+        (segment_index, host_index) whose capacity is exceeded.
+
+        Only the cells whose VM set changes are recounted, each from its VMs
+        in ascending index order with left-to-right addition, never by adding
+        and subtracting the moved VMs: the loads stay exactly those of a count
+        from scratch, including at an exact capacity fill. A gene that is not
+        a host index raises ValueError and leaves the record as it was.
+        """
+        if self._last_genes is None:
+            self._empty_record()
+        old = self._last_genes
+        m = self.host_count
+        if len(genes) != len(old):
+            raise ValueError(f"{len(genes)} genes for {len(old)} VMs")
+        changed = list(compress(range(len(genes)), map(ne, old, genes)))
+        for i in changed:
+            if not 0 <= genes[i] < m:
+                raise ValueError(f"gene {i}: host index {genes[i]!r} outside 0..{m - 1}")
+        vms_at = self._vms_at
+        cell_runs = self.cell_runs
+        dirty: Set[int] = set()
+        for i in changed:
+            was = old[i]
+            now = genes[i]
+            for off in cell_runs[i]:
+                if was >= 0:
+                    k = off + was
+                    vms_at[k].remove(i)
+                    dirty.add(k)
+                k = off + now
+                insort(vms_at[k], i)
+                dirty.add(k)
         pe = self.pe
-        for i, h in enumerate(genes):
-            e = eff[i][h]
-            p = pe[i]
-            base = h * nseg
-            for s in seg_runs[i]:
-                k = base + s
-                if pe_l[k]:
-                    pe_l[k] += p
-                    mips_l[k] += e
-                else:
-                    pe_l[k] = p
-                    mips_l[k] = e
-                    touched.append(k)
-        worst = None
+        eff = self.eff
         host_pe = self.host_pe
-        host_mips = self.host_mips
-        for k in touched:
-            h, s = divmod(k, nseg)
-            if pe_l[k] > host_pe[h] or mips_l[k] > host_mips[h] + MIPS_EPS:
-                if worst is None or (s, h) < worst:
-                    worst = (s, h)
-        self._pe_load = pe_l
-        self._mips_load = mips_l
-        self._touched = touched
+        mips_cap = self.mips_cap
+        pe_l = self._pe_load
+        mips_l = self._mips_load
+        bad = self._bad
+        lead = self._lead
+        stale = self._stale
+        cells = len(pe_l)
+        for k in dirty:
+            h = k % m
+            vms = vms_at[k]
+            p = 0
+            x = 0.0
+            for v in vms:
+                p += pe[v]
+                x += eff[v][h]
+            pe_l[k] = p
+            if x != mips_l[k]:
+                mips_l[k] = x
+                stale.add(k)
+            if p > host_pe[h] or x > mips_cap[h]:
+                bad.add(k)
+            else:
+                bad.discard(k)
+            if vms:
+                lead[k] = vms[0] * cells + k
+            else:
+                del lead[k]
         self._last_genes = genes
-        self._last_violation = worst
-        return worst
+        self._last_violation = divmod(min(bad), m) if bad else None
+        return self._last_violation
 
     def _energy(self) -> float:
-        """Total joules of the recorded pass, which must be feasible; cells are
-        summed in first-touch order."""
-        nseg = self.nseg
+        """Total joules of the recorded pass, which must be feasible. Only the
+        cells whose load changed since the last call are interpolated again;
+        the terms are summed in first-touch order."""
+        m = self.host_count
+        pe_l = self._pe_load
         mips_l = self._mips_load
         host_mips = self.host_mips
         tables = self.tables
         seg_len = self.seg_len
+        term = self._term
+        for k in self._stale:
+            if pe_l[k]:
+                s, h = divmod(k, m)
+                u = mips_l[k] / host_mips[h]
+                if u > 1.0:
+                    u = 1.0
+                w = _interp(tables[h], u)
+                if self.idle:
+                    w -= tables[h][0]
+                term[k] = w * seg_len[s]
+        self._stale.clear()
         total = self.idle_base
-        for k in self._touched:
-            h, s = divmod(k, nseg)
-            u = mips_l[k] / host_mips[h]
-            if u > 1.0:
-                u = 1.0
-            w = _interp(tables[h], u)
-            if self.idle:
-                w -= tables[h][0]
-            total += w * seg_len[s]
+        lead = self._lead
+        for k in sorted(lead, key=lead.__getitem__):
+            total += term[k]
         return total
 
     def first_violation(self, genes) -> Optional[Tuple[int, int]]:
@@ -298,6 +367,20 @@ class EnergyEvaluator:
         if self._cache.get(key) is not None:
             return None
         return self._violation(key)
+
+    def host_vms(self, host_idx: int, genes, seg: Optional[int] = None) -> List[int]:
+        """Ascending indices of the VMs that ``genes`` place on ``host_idx``,
+        read from the record; only those active in segment ``seg`` when it is
+        given."""
+        self._violation(genes)  # the record now holds the loads of ``genes``
+        vms_at = self._vms_at
+        m = self.host_count
+        if seg is not None:
+            return vms_at[seg * m + host_idx][:]
+        on: Set[int] = set()
+        for off in range(0, self.nseg * m, m):
+            on.update(vms_at[off + host_idx])
+        return sorted(on)
 
     def fits(self, vm_idx: int, host_idx: int, genes) -> bool:
         """Would assigning VM ``vm_idx`` to ``host_idx`` keep that host feasible,
@@ -311,8 +394,6 @@ class EnergyEvaluator:
         Only the segments the moved VMs span are checked.
         """
         self._violation(genes)  # the record now holds the loads of ``genes``
-        nseg = self.nseg
-        base = host_idx * nseg
         extra_pe: Dict[int, int] = {}
         extra_mips: Dict[int, float] = {}
         for i in vms:
@@ -320,12 +401,12 @@ class EnergyEvaluator:
                 p, e = 0, 0.0
             else:
                 p, e = self.pe[i], self.eff[i][host_idx]
-            for s in self.seg_runs[i]:
-                k = base + s
+            for off in self.cell_runs[i]:
+                k = off + host_idx
                 extra_pe[k] = extra_pe.get(k, 0) + p
                 extra_mips[k] = extra_mips.get(k, 0.0) + e
         pe_cap = self.host_pe[host_idx]
-        mips_cap = self.host_mips[host_idx] + MIPS_EPS
+        mips_cap = self.mips_cap[host_idx]
         pe_l = self._pe_load
         mips_l = self._mips_load
         for k, p in extra_pe.items():
@@ -343,14 +424,17 @@ class EnergyEvaluator:
         if not nseg:
             return 0.0
         self._violation(genes)  # the record now holds the loads of ``genes``
+        m = self.host_count
         mips_l = self._mips_load
         seg_total = [0.0] * nseg
-        for k in self._touched:
-            seg_total[k % nseg] += mips_l[k]
+        lead = self._lead
+        for k in sorted(lead, key=lead.__getitem__):
+            seg_total[k // m] += mips_l[k]
         peak = max(range(nseg), key=lambda s: (seg_total[s], -s))
         total = 0.0
-        for h in range(len(self.host_mips)):
-            md = mips_l[h * nseg + peak]
+        base = peak * m
+        for h in range(m):
+            md = mips_l[base + h]
             if md > 0.0:
                 u = min(md / self.host_mips[h], 1.0)
                 total += _interp(self.tables[h], u)

@@ -115,11 +115,16 @@ def select_parents(
     population: Sequence[Genes],
     fitnesses: Sequence[float],
     rng: random.Random,
+    wheel: Optional[Sequence[float]] = None,
 ) -> Tuple[Genes, Genes]:
-    """Two independent roulette-wheel draws (may return the same individual twice)."""
+    """Two independent roulette-wheel draws (may return the same individual twice).
+
+    ``wheel``, the running sums of ``fitnesses``, may be passed in so that
+    one generation's draws share it; it is built here otherwise.
+    """
     if not population:
         raise ValueError("empty population")
-    cumulative = list(accumulate(fitnesses))
+    cumulative = list(accumulate(fitnesses)) if wheel is None else wheel
     total = cumulative[-1]
 
     def draw() -> Genes:
@@ -151,11 +156,14 @@ def mutate(c: Genes, prob: float, host_count: int, rng: random.Random) -> Genes:
         raise ValueError("host_count must be >= 1")
     if prob <= 0.0:
         return c
-    genes = list(c)
-    for i in range(len(genes)):
-        if rng.random() < prob:
+    rand = rng.random
+    genes = None
+    for i in range(len(c)):
+        if rand() < prob:
+            if genes is None:
+                genes = list(c)
             genes[i] = rng.randrange(host_count)
-    return tuple(genes)
+    return tuple(c) if genes is None else tuple(genes)
 
 
 def move_host(c: Genes, prob: float, ev: EnergyEvaluator, rng: random.Random) -> Genes:
@@ -169,15 +177,16 @@ def move_host(c: Genes, prob: float, ev: EnergyEvaluator, rng: random.Random) ->
     m = len(ev.instance.hosts)
     if prob <= 0.0 or m < 2:
         return c
+    rand = rng.random
     genes = c
     for h in range(m):
-        if rng.random() >= prob:
+        if rand() >= prob:
             continue
         target = rng.randrange(m - 1)
         if target >= h:
             target += 1
-        moved = [i for i, g in enumerate(genes) if g == h]
-        if ev.fits_all(moved, target, genes):
+        moved = ev.host_vms(h, genes)
+        if moved and ev.fits_all(moved, target, genes):
             trial = list(genes)
             for i in moved:
                 trial[i] = target
@@ -201,24 +210,19 @@ def repair(c: Sequence[int], ev: EnergyEvaluator, rng: random.Random) -> Genes:
     Raises UnrepairableError once the move budget is spent, which in practice
     only happens when demand genuinely exceeds fleet capacity.
     """
+    viol = ev.first_violation(c)
+    if viol is None:
+        return tuple(c)
     genes = list(c)
     n = len(genes)
     m = len(ev.instance.hosts)
     stall = max(50, 5 * n)
     limit = max(400, 40 * n)
     moves = 0
-    mutated = False
     seen = {tuple(genes)}
-    while True:
-        viol = ev.first_violation(genes)
-        if viol is None:
-            return tuple(c) if not mutated else tuple(genes)
+    while viol is not None:
         seg, host = viol
-        contributors = [
-            i
-            for i in range(n)
-            if genes[i] == host and ev.spans[i][0] <= seg < ev.spans[i][1]
-        ]
+        contributors = ev.host_vms(host, genes, seg)
         vm = contributors[-1] if moves < stall else rng.choice(contributors)
         placed = False
         for h2 in range(m):
@@ -232,13 +236,14 @@ def repair(c: Sequence[int], ev: EnergyEvaluator, rng: random.Random) -> Genes:
         if not placed:
             genes[vm] = rng.randrange(m)
         seen.add(tuple(genes))
-        mutated = True
         moves += 1
         if moves > limit:
             raise UnrepairableError(
                 f"could not repair chromosome within {limit} moves; "
                 "instance demand likely exceeds fleet capacity"
             )
+        viol = ev.first_violation(genes)
+    return tuple(genes)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +372,9 @@ def gapa_schedule(
         elites = ranked[: config.elite_count]
         new_pop = [population[i] for i in elites]
         new_fit = [fitnesses[i] for i in elites]
+        wheel = list(accumulate(fitnesses))
         while len(new_pop) < config.population_size:
-            p1, p2 = select_parents(population, fitnesses, rng)
+            p1, p2 = select_parents(population, fitnesses, rng, wheel)
             for child in crossover(p1, p2, config.crossover_prob, rng):
                 if len(new_pop) >= config.population_size:
                     break

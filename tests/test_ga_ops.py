@@ -1,10 +1,13 @@
 """Genetic operators: selection, crossover, mutation, host moves, repair, encodings."""
 
+import collections
 import math
 import random
+import types
 
 import pytest
 
+import vmplace.schedulers
 from vmplace import (
     EnergyEvaluator,
     GaConfig,
@@ -15,6 +18,7 @@ from vmplace import (
     crossover,
     fitness,
     from_allocation_tree,
+    gapa_schedule,
     integrate_energy,
     move_host,
     mutate,
@@ -317,3 +321,84 @@ class TestFitness:
         ev = EnergyEvaluator(inst)
         assert fitness((0, 0), ev, cfg) == pytest.approx(1.0 / 113.0)
         assert fitness((0, 1), ev, cfg) == pytest.approx(1.0 / 146.0)
+
+
+class _CountingRandom(random.Random):
+    """A ``random.Random`` that counts its ``random()`` and ``randrange()``
+    calls. Overriding ``getrandbits`` too keeps ``randrange`` drawing from it,
+    as the plain generator does, so the stream is unchanged."""
+
+    def __init__(self, seed):
+        self.counts = collections.Counter()
+        super().__init__(seed)
+
+    def random(self):
+        self.counts["random"] += 1
+        return super().random()
+
+    def getrandbits(self, k):
+        return super().getrandbits(k)
+
+    def randrange(self, *args):
+        self.counts["randrange"] += 1
+        return super().randrange(*args)
+
+
+class TestRngDraws:
+    def test_mutate_draws_one_random_per_gene_and_one_randrange_per_hit(self):
+        c = tuple(i % 7 for i in range(40))
+        for seed in range(20):
+            rng = _CountingRandom(seed)
+            out = mutate(c, 0.2, 7, rng)
+            ref = random.Random(seed)
+            expected = list(c)
+            hits = 0
+            for i in range(len(c)):
+                if ref.random() < 0.2:
+                    hits += 1
+                    expected[i] = ref.randrange(7)
+            assert out == tuple(expected)
+            assert (rng.counts["random"], rng.counts["randrange"]) == (len(c), hits)
+            assert rng.random() == ref.random()
+
+    def test_move_host_draws_one_random_per_host_and_one_randrange_per_fired_host(self):
+        vms = tuple(VmRequest(f"v{i}", 1, 500.0, 0, 10) for i in range(12))
+        inst = ProblemInstance(vms, tuple(dell_host(h) for h in range(5)))
+        ev = EnergyEvaluator(inst)
+        c = tuple(i % 5 for i in range(12))
+        for seed in range(20):
+            rng = _CountingRandom(seed)
+            move_host(c, 0.3, ev, rng)
+            ref = random.Random(seed)
+            fired = 0
+            for _h in range(5):
+                if ref.random() < 0.3:
+                    fired += 1
+                    ref.randrange(4)
+            assert (rng.counts["random"], rng.counts["randrange"]) == (5, fired)
+            assert rng.random() == ref.random()
+
+    def test_parent_draws_are_two_per_crossover_call(self, monkeypatch, worked_example):
+        config = GaConfig(population_size=7, generations=1, seed=4)
+        plain = gapa_schedule(worked_example, config)
+        draws, crossovers = [], []
+        select, cross = vmplace.schedulers.select_parents, vmplace.schedulers.crossover
+
+        def counted_select(population, fitnesses, rng, *wheel):
+            before = rng.counts["random"]
+            pair = select(population, fitnesses, rng, *wheel)
+            draws.append(rng.counts["random"] - before)
+            return pair
+
+        def counted_crossover(*args):
+            crossovers.append(args)
+            return cross(*args)
+
+        monkeypatch.setattr(vmplace.schedulers, "random", types.SimpleNamespace(Random=_CountingRandom))
+        monkeypatch.setattr(vmplace.schedulers, "select_parents", counted_select)
+        monkeypatch.setattr(vmplace.schedulers, "crossover", counted_crossover)
+        counted = gapa_schedule(worked_example, config)
+        # Six children after one elite: three parent pairs, one per crossover call.
+        assert draws == [2, 2, 2] and len(crossovers) == 3
+        assert counted.placement == plain.placement
+        assert counted.stats["trajectory"] == plain.stats["trajectory"]

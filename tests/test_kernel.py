@@ -4,7 +4,8 @@
 ``EnergyEvaluator``; every answer the evaluator gives (earliest violation,
 energy, fit checks) is compared with them or with a brute-force recount from
 the VM and host records, including the answers read from its record of the
-last pass.
+last pass. Seeded walks move one evaluator's record step by step and compare
+every answer with ``==`` against an evaluator built fresh for each step.
 """
 
 import random
@@ -19,11 +20,13 @@ from vmplace import (
     VmRequest,
     check_feasibility,
     integrate_energy,
+    interpolate_power,
     placement_from_genes,
     UnrepairableError,
     repair,
 )
 from vmplace.model import MIPS_EPS
+from vmplace.power import ordered_sum
 
 from conftest import dell_host, ibm_host, random_small_instance
 
@@ -220,3 +223,120 @@ class TestLastPassRecord:
         assert ev.first_violation(genes) is None
         assert ev.first_violation(list(genes)) is None
         assert passes == []
+
+
+def _first_touch_energy(inst, genes, idle):
+    """Joules summed as the evaluator must sum them: each (host, segment)
+    cell's MIPS added in VM order, then the cells' terms after the idle base
+    in the order a pass over the genes first touches the cells."""
+    segs = inst.segments
+    cells = {}
+    for i, v in enumerate(inst.vms):
+        for s, (t0, _t1) in enumerate(segs):
+            if v.active_at(t0):
+                cells.setdefault((genes[i], s), []).append(v)
+    idle_watts = ordered_sum(h.power_model.idle_watts for h in inst.hosts)
+    total = idle_watts * inst.horizon if idle else 0.0
+    for (h, s), vms in cells.items():
+        host = inst.hosts[h]
+        mips = 0.0
+        for v in vms:
+            mips += v.demand_mips_on(host, inst.cap_demand_to_core)
+        watts = interpolate_power(host.power_model, min(mips / host.total_mips, 1.0))
+        if idle:
+            watts -= host.power_model.idle_watts
+        total += watts * (segs[s][1] - segs[s][0])
+    return total
+
+
+def _walk(inst, rng, steps):
+    """A seeded walk over gene vectors, cycling through single-gene moves,
+    crossover-suffix swaps, whole-host evacuations and returns to an earlier
+    vector. It yields one list, changed in place between steps except after
+    a return."""
+    n, m = len(inst.vms), len(inst.hosts)
+    genes = [rng.randrange(m) for _ in range(n)]
+    history = [tuple(genes)]
+    yield genes
+    for step in range(steps):
+        kind = step % 4
+        if kind == 0:
+            genes[rng.randrange(n)] = rng.randrange(m)
+        elif kind == 1:
+            other = rng.choice(history) if rng.random() < 0.5 else [rng.randrange(m) for _ in range(n)]
+            cut = rng.randrange(n)
+            genes[cut:] = other[cut:]
+        elif kind == 2:
+            src, dst = rng.sample(range(m), 2)
+            for i, g in enumerate(genes):
+                if g == src:
+                    genes[i] = dst
+        else:
+            genes = list(rng.choice(history))
+        history.append(tuple(genes))
+        yield genes
+
+
+def _walk_instances():
+    yield _exact_fill_instance()
+    yield _spanning_instance()
+    for seed in range(8):
+        yield _fractional_instance(seed)
+
+
+class TestMovingRecord:
+    def _check_step(self, walker, inst, genes):
+        fresh = EnergyEvaluator(inst, walker.idle)
+        expected = _expected_violation(inst, genes)
+        assert walker.first_violation(genes) == fresh.first_violation(genes) == expected
+        energy = walker.try_energy(tuple(genes), cache=False)
+        assert energy == fresh.try_energy(tuple(genes), cache=False)
+        if expected is None:
+            assert energy == _first_touch_energy(inst, genes, walker.idle)
+            report = integrate_energy(placement_from_genes(genes, inst), inst, walker.idle)
+            assert energy == pytest.approx(report.total_joules, rel=1e-12)
+        else:
+            assert energy is None
+        assert walker.snapshot_power(genes) == fresh.snapshot_power(genes)
+        for src in range(len(inst.hosts)):
+            moved = walker.host_vms(src, genes)
+            assert moved == [i for i, g in enumerate(genes) if g == src]
+            for dst in range(len(inst.hosts)):
+                if dst != src:
+                    fit = walker.fits_all(moved, dst, genes)
+                    assert fit == fresh.fits_all(moved, dst, genes)
+                    assert fit == _recount_fits(inst, set(moved), dst, genes)
+        return expected is None
+
+    def test_walks_match_fresh_evaluators_and_the_reference(self):
+        rng = random.Random(31)
+        feasible = steps = 0
+        for inst in _walk_instances():
+            for idle in (False, True):
+                walker = EnergyEvaluator(inst, idle_hosts_powered=idle)
+                for genes in _walk(inst, rng, 24):
+                    feasible += self._check_step(walker, inst, genes)
+                    steps += 1
+        assert feasible > steps // 4 and feasible < steps
+
+    def test_genes_that_are_not_host_indices_leave_the_record_as_it_was(self):
+        inst = _spanning_instance()
+        walker = EnergyEvaluator(inst)
+        genes = [0, 1, 0, 1, 0, 1]
+        self._check_step(walker, inst, genes)
+        for bad in ([0, 1, 0, 3, 0, 1], [2, 1, 0, 1, 0, -1], [0, 1, 0]):
+            with pytest.raises(ValueError):
+                walker.first_violation(bad)
+            self._check_step(walker, inst, genes)
+        self._check_step(walker, inst, [2, 2, 2, 2, 2, 2])
+
+    def test_exact_fill_walk_keeps_the_boundary(self):
+        # Filling host 0 exactly, one VM at a time and out of index order,
+        # then emptying it: every step's verdict must match the reference.
+        inst = _exact_fill_instance()
+        walker = EnergyEvaluator(inst)
+        genes = [1] * 9
+        for i in (7, 0, 5, 2, 6, 1, 4, 3, 8, 3, 8, 0, 7):
+            genes[i] = 1 - genes[i]
+            self._check_step(walker, inst, genes)
+        assert walker.first_violation((0,) * 8 + (1,)) is None
