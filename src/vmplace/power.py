@@ -222,15 +222,15 @@ class EnergyEvaluator:
         )
         self.evaluations = 0
         self._cache: Dict[Tuple[int, ...], Optional[float]] = {}
-        # The record of the last pass; the first pass builds it empty, so an
-        # evaluator used only for its tables (as BFD uses it) never pays for it.
+        # The record of the last pass, None until a pass succeeds; the first
+        # pass builds it empty, so an evaluator used only for its tables (as
+        # BFD uses it) never pays for it.
         self._last_genes: Optional[Tuple[int, ...]] = None
         self._last_violation: Optional[Tuple[int, int]] = None
 
     def _empty_record(self) -> None:
-        """Start the record with no VM placed (host -1)."""
+        """Start the record with no VM placed."""
         cells = self.host_count * self.nseg
-        self._last_genes = (-1,) * len(self.instance.vms)
         self._vms_at: List[List[int]] = [[] for _ in range(cells)]
         self._pe_load = [0] * cells
         self._mips_load = [0.0] * cells
@@ -275,13 +275,18 @@ class EnergyEvaluator:
         from scratch, including at an exact capacity fill. A gene that is not
         a host index raises ValueError and leaves the record as it was.
         """
-        if self._last_genes is None:
-            self._empty_record()
+        n = len(self.instance.vms)
+        if len(genes) != n:
+            raise ValueError(f"{len(genes)} genes for {n} VMs")
         old = self._last_genes
+        if old is None:
+            # The first pass moves every VM from the empty record (host -1).
+            self._empty_record()
+            old = (-1,) * n
+            changed: Sequence[int] = range(n)
+        else:
+            changed = list(compress(range(n), map(ne, old, genes)))
         m = self.host_count
-        if len(genes) != len(old):
-            raise ValueError(f"{len(genes)} genes for {len(old)} VMs")
-        changed = list(compress(range(len(genes)), map(ne, old, genes)))
         for i in changed:
             if not 0 <= genes[i] < m:
                 raise ValueError(f"gene {i}: host index {genes[i]!r} outside 0..{m - 1}")

@@ -115,16 +115,11 @@ def select_parents(
     population: Sequence[Genes],
     fitnesses: Sequence[float],
     rng: random.Random,
-    wheel: Optional[Sequence[float]] = None,
 ) -> Tuple[Genes, Genes]:
-    """Two independent roulette-wheel draws (may return the same individual twice).
-
-    ``wheel``, the running sums of ``fitnesses``, may be passed in so that
-    one generation's draws share it; it is built here otherwise.
-    """
+    """Two independent roulette-wheel draws (may return the same individual twice)."""
     if not population:
         raise ValueError("empty population")
-    cumulative = list(accumulate(fitnesses)) if wheel is None else wheel
+    cumulative = list(accumulate(fitnesses))
     total = cumulative[-1]
 
     def draw() -> Genes:
@@ -372,9 +367,8 @@ def gapa_schedule(
         elites = ranked[: config.elite_count]
         new_pop = [population[i] for i in elites]
         new_fit = [fitnesses[i] for i in elites]
-        wheel = list(accumulate(fitnesses))
         while len(new_pop) < config.population_size:
-            p1, p2 = select_parents(population, fitnesses, rng, wheel)
+            p1, p2 = select_parents(population, fitnesses, rng)
             for child in crossover(p1, p2, config.crossover_prob, rng):
                 if len(new_pop) >= config.population_size:
                     break

@@ -384,9 +384,9 @@ class TestRngDraws:
         draws, crossovers = [], []
         select, cross = vmplace.schedulers.select_parents, vmplace.schedulers.crossover
 
-        def counted_select(population, fitnesses, rng, *wheel):
+        def counted_select(population, fitnesses, rng):
             before = rng.counts["random"]
-            pair = select(population, fitnesses, rng, *wheel)
+            pair = select(population, fitnesses, rng)
             draws.append(rng.counts["random"] - before)
             return pair
 

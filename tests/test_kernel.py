@@ -329,6 +329,16 @@ class TestMovingRecord:
                 walker.first_violation(bad)
             self._check_step(walker, inst, genes)
         self._check_step(walker, inst, [2, 2, 2, 2, 2, 2])
+        # A fresh evaluator has no VM placed; its first pass must still check
+        # every gene, and a failed first pass leaves it fresh.
+        for bad in ([0, 1, -1, 1, 0, 1], [-1] * 6, [0, 1, 0, 3, 0, 1]):
+            fresh = EnergyEvaluator(inst)
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    fresh.first_violation(bad)
+                with pytest.raises(ValueError):
+                    fresh.try_energy(tuple(bad))
+            self._check_step(fresh, inst, genes)
 
     def test_exact_fill_walk_keeps_the_boundary(self):
         # Filling host 0 exactly, one VM at a time and out of index order,
