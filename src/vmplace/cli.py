@@ -7,10 +7,9 @@ experiment    run BFD/GAPA/EXACT over a GA parameter grid with fixed seeds
 gen-workload  write the bundled sample timetable (and optionally a fleet file)
 validate      feasibility-check a placement file against an instance
 
-Reports are CSV (stable column order, 6-decimal kWh) or JSON; re-reading a
-report reproduces the records. Wall-clock times are tracked per run but kept
-out of the serialized output so that identical inputs produce byte-identical
-report files.
+Reports are CSV (stable column order, 6-decimal kWh) or JSON. Wall-clock
+times are tracked per run but kept out of the serialized output so that
+identical inputs produce byte-identical report files.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible or unrepairable
 instance, 4 I/O error.
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from dataclasses import dataclass, field, replace
@@ -101,9 +99,6 @@ class ExperimentConfig:
     vm_mips_per_pe: float = 2200.0
     cap_demand_to_core: bool = False
     exact_budget: int = 10_000_000
-    output_path: Optional[str] = None
-    output_format: str = "csv"
-    dump_placements: bool = False
 
     def __post_init__(self):
         if not self.solvers:
@@ -113,8 +108,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown solvers: {sorted(unknown)}")
         if SOLVER_GAPA in self.solvers and (not self.ga_grid or not self.seeds):
             raise ConfigError("gapa requires a non-empty parameter grid and seed list")
-        if self.output_format not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {self.output_format!r}")
 
 
 @dataclass
@@ -178,15 +171,14 @@ def build_instance(config: ExperimentConfig) -> ProblemInstance:
     return ProblemInstance(tuple(vms), tuple(hosts), cap_demand_to_core=config.cap_demand_to_core)
 
 
-def run_experiment(config: ExperimentConfig, instance: Optional[ProblemInstance] = None) -> List[RunRecord]:
+def run_experiment(config: ExperimentConfig) -> List[RunRecord]:
     """Run the configured solvers; records come back in config order.
 
     BFD runs once (it is deterministic); GAPA runs per (grid point x seed)
     followed by that grid point's mean and min aggregates; EXACT runs once if
     its enumeration budget allows, else yields a budget_exceeded record.
     """
-    if instance is None:
-        instance = build_instance(config)
+    instance = build_instance(config)
     records: List[RunRecord] = []
     bfd_kwh: Optional[float] = None
     if SOLVER_BFD in config.solvers:
@@ -262,31 +254,6 @@ def _record_to_row(rec: RunRecord) -> List[str]:
     ]
 
 
-def _record_from_row(row: Sequence[str]) -> RunRecord:
-    d = dict(zip(CSV_COLUMNS, row))
-    per_host: Dict[int, float] = {}
-    if d["per_host_kwh"]:
-        for item in d["per_host_kwh"].split(";"):
-            h, kwh = item.split(":")
-            per_host[int(h)] = float(kwh)
-    return RunRecord(
-        solver=d["solver"],
-        aggregate=d["aggregate"],
-        population=int(d["population"]) if d["population"] else None,
-        generations=int(d["generations"]) if d["generations"] else None,
-        crossover=float(d["crossover"]) if d["crossover"] else None,
-        mutation=float(d["mutation"]) if d["mutation"] else None,
-        fitness=d["fitness"] or None,
-        seed=int(d["seed"]) if d["seed"] else None,
-        status=d["status"],
-        total_kwh=float(d["total_kwh"]) if d["total_kwh"] else None,
-        hosts_used=int(d["hosts_used"]) if d["hosts_used"] else None,
-        ratio_vs_bfd=float(d["ratio_vs_bfd"]) if d["ratio_vs_bfd"] else None,
-        per_host_kwh=per_host,
-        trajectory=tuple(float(f) for f in d["trajectory"].split(";")) if d["trajectory"] else (),
-    )
-
-
 def _record_to_json(rec: RunRecord) -> dict:
     return dict(zip(CSV_COLUMNS, _record_to_row(rec)))
 
@@ -305,18 +272,6 @@ def emit_report(records: Sequence[RunRecord], output_format: str, sink) -> None:
         sink.write("\n")
     else:
         raise ConfigError(f"unknown output format {output_format!r}")
-
-
-def read_report(source, output_format: str = "csv") -> List[RunRecord]:
-    """Inverse of :func:`emit_report` (sans wall time and placements)."""
-    text = source.read() if hasattr(source, "read") else source
-    if output_format == "csv":
-        reader = csv.reader(io.StringIO(text))
-        rows = list(reader)
-        if not rows or tuple(rows[0]) != CSV_COLUMNS:
-            raise ConfigError("not a report file: bad or missing header")
-        return [_record_from_row(r) for r in rows[1:]]
-    return [_record_from_row([d[c] for c in CSV_COLUMNS]) for d in json.loads(text)]
 
 
 def _run_id(rec: RunRecord) -> str:
@@ -466,18 +421,15 @@ def cmd_run(args) -> int:
         ga_grid=grid,
         seeds=_values(args.seed, DEFAULT_SEEDS),
         exact_budget=args.exact_budget,
-        output_path=args.out,
-        output_format=args.format,
-        dump_placements=args.dump_placements,
     )
     records = run_experiment(config)
-    if config.output_path is None:
-        emit_report(records, config.output_format, sys.stdout)
+    if args.out is None:
+        emit_report(records, args.format, sys.stdout)
     else:
-        with open(config.output_path, "w") as fh:
-            emit_report(records, config.output_format, fh)
-        if config.dump_placements:
-            _dump_placements(records, config.output_path)
+        with open(args.out, "w") as fh:
+            emit_report(records, args.format, fh)
+        if args.dump_placements:
+            _dump_placements(records, args.out)
     return EXIT_OK
 
 

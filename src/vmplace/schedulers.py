@@ -37,6 +37,9 @@ FITNESS_SNAPSHOT_POWER = "snapshot_power"
 
 RNG_ALGORITHM = "python-random-mt19937"
 
+#: Individuals carried unchanged into the next generation.
+ELITE_COUNT = 1
+
 
 @dataclass(frozen=True)
 class GaConfig:
@@ -46,21 +49,18 @@ class GaConfig:
     generations: int = 500
     crossover_prob: float = 0.5
     mutation_prob: float = 0.01  # per gene, and per host node for move_host
-    elite_count: int = 1
     seed: int = 1
     fitness_mode: str = FITNESS_ENERGY
 
     def __post_init__(self):
-        if self.population_size < 1:
-            raise ValueError("population_size must be >= 1")
+        if self.population_size <= ELITE_COUNT:
+            raise ValueError(f"population_size must be > {ELITE_COUNT} (the elite count)")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
         if not 0.0 <= self.crossover_prob <= 1.0:
             raise ValueError("crossover_prob must be in [0, 1]")
         if not 0.0 <= self.mutation_prob <= 1.0:
             raise ValueError("mutation_prob must be in [0, 1]")
-        if not 0 <= self.elite_count < self.population_size:
-            raise ValueError("elite_count must be in [0, population_size)")
         if self.fitness_mode not in (FITNESS_ENERGY, FITNESS_SNAPSHOT_POWER):
             raise ValueError(f"unknown fitness_mode {self.fitness_mode!r}")
 
@@ -364,7 +364,7 @@ def gapa_schedule(
 
     for _generation in range(config.generations):
         ranked = sorted(range(len(population)), key=lambda i: -fitnesses[i])
-        elites = ranked[: config.elite_count]
+        elites = ranked[:ELITE_COUNT]
         new_pop = [population[i] for i in elites]
         new_fit = [fitnesses[i] for i in elites]
         while len(new_pop) < config.population_size:

@@ -72,15 +72,12 @@ class SlotConfig:
 
     slot_length: int = 2700
     day_origin: int = 0
-    slots_per_day: int = 15
 
     def __post_init__(self):
         if self.slot_length < 1:
             raise ValueError("slot_length must be >= 1")
         if self.day_origin < 0:
             raise ValueError("day_origin must be >= 0")
-        if self.slots_per_day < 1:
-            raise ValueError("slots_per_day must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -96,6 +93,9 @@ class FleetSpec:
     entries: Tuple[FleetEntry, ...]
 
     def __post_init__(self):
+        for e in self.entries:
+            if e.count < 0:
+                raise ValueError(f"fleet entry {e.model!r}: count must be >= 0, got {e.count}")
         if sum(e.count for e in self.entries) < 1:
             raise ValueError("fleet must contain at least one host")
 
@@ -149,7 +149,11 @@ def parse_timetable(source) -> List[TimetableRow]:
     rows: List[TimetableRow] = []
     mask_len: Optional[int] = None
     header_seen = False
-    for lineno, fields in enumerate(reader, start=1):
+    try:
+        records = list(reader)
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, str(exc)) from exc
+    for lineno, fields in enumerate(records, start=1):
         if not fields or all(not f.strip() for f in fields):
             continue
         fields = [f.strip() for f in fields]
@@ -196,13 +200,17 @@ def expand(
     """One VM per enrolled student, timed by the row's slot mask.
 
     VM ids are deterministic: ``<class_id>-<group_id>-<ordinal>`` with the
-    ordinal counting per (class, group) across rows. The ``day`` column is
-    carried in the rows but does not shift start times; multi-day workloads
-    offset ``slots.day_origin`` instead.
+    ordinal counting per (class, group) across rows.
+
+    Days run back to back: a day lasts one slot mask (``len(slot_mask)`` slots)
+    and the earliest day in ``rows`` starts at ``slots.day_origin``. The
+    overnight gap is not modelled, which matters only when idle hosts are
+    powered.
     """
     pe_count, mips_per_pe = vm_template
     counters: Dict[Tuple[str, str], int] = {}
     vms: List[VmRequest] = []
+    first_day = min((row.day for row in rows), default=0)
     for row in rows:
         expected = row.slot_run * slots.slot_length
         if expected != row.duration:
@@ -211,7 +219,8 @@ def expand(
                 f"{row.slot_run} slots x {slots.slot_length}s = {expected}s",
                 stacklevel=2,
             )
-        start = slots.day_origin + (row.first_slot - 1) * slots.slot_length
+        day_offset = (row.day - first_day) * len(row.slot_mask)
+        start = slots.day_origin + (day_offset + row.first_slot - 1) * slots.slot_length
         key = (row.class_id, row.group_id)
         for _ in range(row.students):
             ordinal = counters.get(key, 0) + 1
@@ -248,24 +257,33 @@ def build_fleet(
     return hosts
 
 
-def fleet_spec_from_json(data: dict) -> Tuple[FleetSpec, Dict[str, PowerModel]]:
+def _json_list(data: dict, key: str) -> list:
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError(f"fleet {key!r} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+def fleet_spec_from_json(data) -> Tuple[FleetSpec, Dict[str, PowerModel]]:
     """Decode a fleet JSON document into a spec plus any inline power models."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"fleet document must be a JSON object, got {type(data).__name__}")
     models: Dict[str, PowerModel] = {}
-    for entry in data.get("power_models", ()):
+    for entry in _json_list(data, "power_models"):
         try:
             model = PowerModel(str(entry["name"]), tuple(float(s) for s in entry["samples"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad power model entry {entry!r}: {exc}") from exc
         models[model.name] = model
     entries = []
-    for entry in data.get("entries", ()):
+    for entry in _json_list(data, "entries"):
         try:
             name = str(entry["model"])
             count = int(entry["count"])
             defaults = HOST_CLASS_DEFAULTS.get(name, (None, None))
             pe_count = int(entry.get("pe_count", defaults[0]))
             mips_per_pe = float(entry.get("mips_per_pe", defaults[1]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad fleet entry {entry!r}: {exc}") from exc
         entries.append(FleetEntry(name, count, pe_count, mips_per_pe))
     if not entries:

@@ -103,7 +103,7 @@ class TestGapa:
 
     def test_trajectory_monotone_with_elitism(self):
         inst = random_small_instance(10)
-        result = gapa_schedule(inst, GaConfig(generations=50, seed=1, elite_count=1))
+        result = gapa_schedule(inst, GaConfig(generations=50, seed=1))
         traj = result.stats["trajectory"]
         assert len(traj) == 51  # initial population plus one entry per generation
         assert all(b >= a for a, b in zip(traj, traj[1:]))
@@ -173,7 +173,7 @@ class TestGaConfigValidation:
             dict(generations=0),
             dict(crossover_prob=1.5),
             dict(mutation_prob=-0.1),
-            dict(elite_count=10),  # must stay below population_size
+            dict(population_size=1),  # no room for a child next to the elite
             dict(fitness_mode="nope"),
         ],
     )

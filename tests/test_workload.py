@@ -148,6 +148,22 @@ class TestExpand:
         with pytest.warns(UserWarning, match="does not match"):
             expand(rows)
 
+    def test_days_run_back_to_back(self):
+        text = (
+            HEADER
+            + "1,s,c,g,16,123------------,8100\n"
+            + "2,s,c,g,16,123------------,8100\n"
+        )
+        vms = expand(parse_timetable(text))
+        windows = [(v.start_time, v.start_time + v.duration) for v in vms]
+        # One day is the 15-slot mask: 15 x 2700 s = 40500 s.
+        assert windows == [(0, 8100)] * 16 + [(40500, 48600)] * 16
+
+    def test_earliest_day_starts_at_day_origin(self):
+        text = HEADER + "3,s,c,g,1,-2-------------,2700\n" + "5,s,c,g,1,-2-------------,2700\n"
+        vms = expand(parse_timetable(text), SlotConfig(day_origin=100))
+        assert [v.start_time for v in vms] == [100 + 2700, 100 + 2 * 40500 + 2700]
+
     def test_ordinals_accumulate_across_rows_of_same_group(self):
         text = (
             HEADER
