@@ -11,6 +11,7 @@ By default a host with no active VMs draws 0 W (it is switched off); set
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 from dataclasses import dataclass
 from itertools import compress
@@ -40,6 +41,9 @@ class PowerModel:
     def __post_init__(self):
         if len(self.samples) != 11:
             raise ValueError(f"power model {self.name!r}: need 11 samples, got {len(self.samples)}")
+        # One pass in C: a NaN or infinite sample makes the sum non-finite.
+        if not math.isfinite(sum(self.samples)):
+            raise ValueError(f"power model {self.name!r}: samples must be finite")
         if min(self.samples) < 0:
             raise ValueError(f"power model {self.name!r}: samples must be >= 0")
         # A busy host must draw power: fitness and the BFD ratio divide by it.
@@ -181,12 +185,14 @@ class EnergyEvaluator:
     :meth:`fits`, :meth:`fits_all`, :meth:`host_vms`, :meth:`try_energy` and
     :meth:`snapshot_power` read the record, moving it first when asked about
     other genes. Only :meth:`try_energy` and :meth:`snapshot_power` turn loads
-    into watts. Energies are memoized by gene tuple, but only for the vectors
-    :meth:`try_energy` is asked about; a vector memoized as feasible needs no
-    pass in :meth:`first_violation` either.
+    into watts. Results are memoized by gene tuple, but only for the vectors
+    :meth:`try_energy` or :meth:`feasible` is asked about; a vector memoized
+    as feasible needs no pass in :meth:`first_violation` either.
     """
 
     _MISS = object()
+    # Cached by feasible(): the placement fits, its joules are not summed yet.
+    _FEASIBLE = object()
     _CACHE_LIMIT = 150_000
 
     def __init__(self, instance: ProblemInstance, idle_hosts_powered: bool = False):
@@ -210,9 +216,15 @@ class EnergyEvaluator:
         cap = instance.cap_demand_to_core
         # Effective MIPS demand per VM per host (per-core-capped when the
         # instance says so); used for capacity checks and utilization alike.
-        self.eff = [
-            [v.demand_mips_on(h, cap) for h in instance.hosts] for v in instance.vms
-        ]
+        # VMs of one shape share one row, which nothing writes to.
+        rows: Dict[Tuple[int, float], List[float]] = {}
+        self.eff: List[List[float]] = []
+        for v in instance.vms:
+            shape = (v.pe_count, v.mips_per_pe)
+            row = rows.get(shape)
+            if row is None:
+                row = rows[shape] = [v.demand_mips_on(h, cap) for h in instance.hosts]
+            self.eff.append(row)
         self.host_pe = [h.pe_count for h in instance.hosts]
         self.host_mips = [h.total_mips for h in instance.hosts]
         self.mips_cap = [c + MIPS_EPS for c in self.host_mips]
@@ -249,14 +261,31 @@ class EnergyEvaluator:
         if cache:
             val = self._cache.get(genes, self._MISS)
             if val is not self._MISS:
+                if val is self._FEASIBLE:
+                    # Counted when feasible() scored it; only the joules are new.
+                    self._violation(genes)
+                    val = self._cache[genes] = self._energy()
                 return val
         self.evaluations += 1
         val = None if self._violation(genes) else self._energy()
         if cache:
-            if len(self._cache) > self._CACHE_LIMIT:
-                self._cache.clear()
-            self._cache[genes] = val
+            self._remember(genes, val)
         return val
+
+    def feasible(self, genes: Tuple[int, ...]) -> bool:
+        """Whether the placement fits every host. Memoized and counted as an
+        evaluation like :meth:`try_energy`, but sums no joules."""
+        val = self._cache.get(genes, self._MISS)
+        if val is self._MISS:
+            self.evaluations += 1
+            val = None if self._violation(genes) else self._FEASIBLE
+            self._remember(genes, val)
+        return val is not None
+
+    def _remember(self, genes: Tuple[int, ...], val) -> None:
+        if len(self._cache) > self._CACHE_LIMIT:
+            self._cache.clear()
+        self._cache[genes] = val
 
     def _violation(self, genes) -> Optional[Tuple[int, int]]:
         """Earliest violation of ``genes``; afterwards the record holds their loads."""

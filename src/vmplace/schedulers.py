@@ -15,10 +15,10 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     BudgetExceededError,
@@ -26,7 +26,7 @@ from .errors import (
     NoFeasibleHostError,
     UnrepairableError,
 )
-from .model import MIPS_EPS, Placement, ProblemInstance
+from .model import Placement, ProblemInstance
 from .power import EnergyEvaluator, EnergyReport, _interp, integrate_energy
 
 #: One candidate allocation: gene[i] is the host index of VM i.
@@ -103,12 +103,13 @@ def fitness(chromosome: Sequence[int], ev: EnergyEvaluator, config: GaConfig) ->
     instant in snapshot mode, as ``ev`` scores them. Higher is better. The
     chromosome must already be feasible (repair first)."""
     genes = tuple(chromosome)
-    energy = ev.try_energy(genes)
-    if energy is None:
-        raise ValueError("fitness of an infeasible chromosome; repair it first")
     if config.fitness_mode == FITNESS_SNAPSHOT_POWER:
-        return 1.0 / ev.snapshot_power(genes)
-    return 1.0 / energy
+        score = ev.snapshot_power(genes) if ev.feasible(genes) else None
+    else:
+        score = ev.try_energy(genes)
+    if score is None:
+        raise ValueError("fitness of an infeasible chromosome; repair it first")
+    return 1.0 / score
 
 
 def select_parents(
@@ -252,61 +253,83 @@ def bfd_schedule(instance: ProblemInstance, idle_hosts_powered: bool = False) ->
     then ascending id). Each VM goes to the feasible host whose energy over
     the VM's interval grows the least, counting the switch-on cost of a host
     that was empty; ties go to the lowest host index. Deterministic.
+
+    Only the hosts that can win are scored: every host already in use, plus
+    each host class's lowest-index unused host. A class is the hosts with
+    equal cores, core MIPS and power samples. Its unused hosts all have the
+    same fit and the same delta, so none of them can beat the lowest-index
+    one, and the result is exactly that of scoring every host. Each
+    (segment, host) cell keeps its current watts, so scoring a host
+    interpolates the power curve once per segment.
     """
     if not instance.vms:
         raise ValueError("bfd_schedule: empty instance")
     t_begin = time.perf_counter()
     ev = EnergyEvaluator(instance, idle_hosts_powered)
-    n = len(instance.vms)
-    m = len(instance.hosts)
-    nseg = ev.nseg
-    order = sorted(
-        range(n),
-        key=lambda i: (
-            instance.vms[i].start_time,
-            -instance.vms[i].total_mips,
-            instance.vms[i].id,
-        ),
-    )
-    pe_load = [[0] * nseg for _ in range(m)]
-    mips_load = [[0.0] * nseg for _ in range(m)]
+    vms = instance.vms
+    n = len(vms)
+    m = ev.host_count
+    order = sorted(range(n), key=lambda i: (vms[i].start_time, -vms[i].total_mips, vms[i].id))
+    tables = ev.tables
+    host_pe = ev.host_pe
+    host_mips = ev.host_mips
+    mips_cap = ev.mips_cap
+    # Cell k = segment * m + host, as in the evaluator's record.
+    pe_load = [0] * (ev.nseg * m)
+    mips_load = [0.0] * (ev.nseg * m)
+    # An empty cell draws 0 W, or its idle watts when idle hosts are powered.
+    watts = [t[0] if idle_hosts_powered else 0.0 for t in tables] * ev.nseg
 
-    def seg_watts(h: int, pe_d: int, mips_d: float) -> float:
-        if pe_d == 0 and not idle_hosts_powered:
-            return 0.0
-        u = min(mips_d / ev.host_mips[h], 1.0)
-        return _interp(ev.tables[h], u)
+    # Candidates, ascending: the used hosts and each class's lowest unused
+    # host. successor[h] is the next host of h's class, not yet a candidate.
+    candidates: List[int] = []
+    successor: Dict[int, int] = {}
+    last: Dict[tuple, int] = {}
+    for h, host in enumerate(instance.hosts):
+        key = (host.pe_count, host.mips_per_pe, host.power_model.samples)
+        if key in last:
+            successor[last[key]] = h
+        else:
+            candidates.append(h)
+        last[key] = h
 
     genes: List[int] = [0] * n
     for i in order:
+        p = ev.pe[i]
+        row = ev.eff[i]
+        run = ev.cell_runs[i]
         a, b = ev.spans[i]
+        lens = ev.seg_len[a:b]
         best_delta = None
-        best_h = None
-        for h in range(m):
-            fits = True
-            for s in range(a, b):
-                if (
-                    pe_load[h][s] + ev.pe[i] > ev.host_pe[h]
-                    or mips_load[h][s] + ev.eff[i][h] > ev.host_mips[h] + MIPS_EPS
-                ):
-                    fits = False
-                    break
-            if not fits:
-                continue
+        best_h = -1
+        for h in candidates:
+            e = row[h]
+            table = tables[h]
             delta = 0.0
-            for s in range(a, b):
-                before = seg_watts(h, pe_load[h][s], mips_load[h][s])
-                after = seg_watts(h, pe_load[h][s] + ev.pe[i], mips_load[h][s] + ev.eff[i][h])
-                delta += (after - before) * ev.seg_len[s]
-            if best_delta is None or delta < best_delta:
-                best_delta = delta
-                best_h = h
-        if best_h is None:
-            raise NoFeasibleHostError(instance.vms[i].id)
+            for off, seg_len in zip(run, lens):
+                k = off + h
+                x = mips_load[k] + e
+                if pe_load[k] + p > host_pe[h] or x > mips_cap[h]:
+                    break
+                u = x / host_mips[h]
+                delta += (_interp(table, u if u < 1.0 else 1.0) - watts[k]) * seg_len
+            else:
+                if best_delta is None or delta < best_delta:
+                    best_delta = delta
+                    best_h = h
+        if best_h < 0:
+            raise NoFeasibleHostError(vms[i].id)
         genes[i] = best_h
-        for s in range(a, b):
-            pe_load[best_h][s] += ev.pe[i]
-            mips_load[best_h][s] += ev.eff[i][best_h]
+        e = row[best_h]
+        for off in run:
+            k = off + best_h
+            pe_load[k] += p
+            mips_load[k] += e
+            u = mips_load[k] / host_mips[best_h]
+            watts[k] = _interp(tables[best_h], u if u < 1.0 else 1.0)
+        nxt = successor.pop(best_h, None)
+        if nxt is not None:
+            insort(candidates, nxt)
 
     placement = placement_from_genes(genes, instance)
     report = integrate_energy(placement, instance, idle_hosts_powered)

@@ -8,6 +8,7 @@ from vmplace import (
     DELL_R620,
     IBM_X3250,
     HostSpec,
+    PowerModel,
     ProblemInstance,
     VmRequest,
 )
@@ -51,6 +52,37 @@ def random_small_instance(seed: int, max_vms: int = 6, max_hosts: int = 3) -> Pr
         for i in range(n)
     )
     return ProblemInstance(vms, hosts)
+
+
+#: The IBM class's cores and MIPS with a different curve: cheaper at low load,
+#: dearer at full load. A host class is its shape and its curve, so this one
+#: must never be merged with the IBM class.
+IBM_ALT_CURVE = PowerModel(
+    "ibm_x3250_alt",
+    (38.0, 41.0, 45.0, 50.0, 58.0, 68.0, 80.0, 92.0, 104.0, 114.0, 125.0),
+)
+
+
+def mixed_class_instance(
+    seed: int, n_vms: int, n_hosts: int, n_starts: int, cap_demand_to_core: bool = True
+) -> ProblemInstance:
+    """Hosts drawn from three classes (IBM, Dell, and IBM's shape with
+    :data:`IBM_ALT_CURVE`); VMs of mixed shapes starting at ``n_starts``
+    distinct times, so the instance has at most ``n_starts + 5`` segments."""
+    rng = random.Random(seed)
+    makers = (ibm_host, dell_host, lambda h: HostSpec(h, 4, 2933.0, IBM_ALT_CURVE))
+    hosts = tuple(rng.choice(makers)(h) for h in range(n_hosts))
+    vms = tuple(
+        VmRequest(
+            f"v{i}",
+            rng.randint(1, 4),
+            float(rng.randint(5, 35)) * 100.0,
+            rng.randrange(n_starts) * 300,
+            rng.randrange(1, 7) * 300,
+        )
+        for i in range(n_vms)
+    )
+    return ProblemInstance(vms, hosts, cap_demand_to_core=cap_demand_to_core)
 
 
 @pytest.fixture

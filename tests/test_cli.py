@@ -304,6 +304,7 @@ class TestMain:
                 EXIT_CONFIG,
                 id="solve-gapa-zero-below-full-load-curve",
             ),
+            pytest.param(["solve", "--workload", "five.csv", "--fleet", "nan.json"], EXIT_CONFIG, id="solve-nan-curve"),
             pytest.param(["solve", "--fleet", "array.json"], EXIT_CONFIG, id="solve-fleet-document-array"),
             pytest.param(["solve", "--fleet", "string.json"], EXIT_CONFIG, id="solve-fleet-document-string"),
             pytest.param(["solve", "--fleet", "entries-int.json"], EXIT_CONFIG, id="solve-fleet-entries-not-array"),
@@ -326,6 +327,8 @@ class TestMain:
             "one-host.json": json.dumps({"entries": [one_host]}),
             "zero.json": _fleet_json([0.0] * 11),
             "zero-below-full.json": _fleet_json([0.0] * 10 + [263.0]),
+            # JSON's NaN token reads as a float.
+            "nan.json": _fleet_json([float("nan")] * 11),
             "array.json": "[]",
             "string.json": '"x"',
             "entries-int.json": '{"entries": 5}',

@@ -5,7 +5,9 @@ trajectory value, the GA evaluation count, the exact GA energy and the BFD
 placement. The energy-mode literals were recorded before the evaluator's load
 accounting was rewritten, the snapshot-mode ones before ``snapshot_power``
 came to read the evaluator's last load pass; a change meant to keep behaviour
-must leave them as they are.
+must leave them as they are. The BFD-only digests (placement and the ``repr``
+of the exact energy) were recorded while BFD still scored every host for
+every VM.
 """
 
 import hashlib
@@ -27,7 +29,7 @@ from vmplace import (
     parse_timetable,
 )
 
-from conftest import dell_host, ibm_host, worked_example_instance
+from conftest import dell_host, ibm_host, mixed_class_instance, worked_example_instance
 
 
 def _lab_instance() -> ProblemInstance:
@@ -112,3 +114,18 @@ def test_snapshot_mode_golden(name, idle, expected):
     generations = 30 if name == "lab" else 200
     config = GaConfig(generations=generations, seed=1, fitness_mode="snapshot_power")
     assert _digest(SNAPSHOT_INSTANCES[name](), config, idle) == expected
+
+
+@pytest.mark.parametrize(
+    "idle, expected",
+    [
+        (False, "87c765666f62808388cfe43e7713eab425650c0ab5b77e473c31e70d0206c95d"),
+        (True, "4a4fd725485e3954417e0ffcadb086e987929d6cbcff143343c9ffb027614c3e"),
+    ],
+)
+def test_bfd_mixed_class_golden(idle, expected):
+    # 300 VMs on 40 hosts of three classes, two of them with the same cores
+    # and MIPS but different curves; 35 segments, demand capped to the core.
+    bfd = bfd_schedule(mixed_class_instance(11, 300, 40, 30, cap_demand_to_core=True), idle)
+    parts = [repr(sorted(bfd.placement.items())), repr(bfd.energy.total_joules)]
+    assert hashlib.sha256("\n".join(parts).encode()).hexdigest() == expected

@@ -46,6 +46,14 @@ class TestPowerModel:
         with pytest.raises(ValueError):
             PowerModel("x", (-0.1,) + (1.0,) * 10)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_samples_must_be_finite(self, bad):
+        for k in (0, 5, 10):
+            samples = list(IBM_SAMPLES)
+            samples[k] = bad
+            with pytest.raises(ValueError, match="finite"):
+                PowerModel("x", tuple(samples))
+
     def test_busy_samples_must_be_positive(self):
         assert PowerModel("x", (0.0,) + (1.0,) * 10).idle_watts == 0.0
         with pytest.raises(ValueError):
@@ -256,6 +264,23 @@ class TestEnergyEvaluator:
         second = ev.try_energy(genes)
         assert first == second
         assert ev.evaluations == count
+
+    def test_feasible_then_energy_counts_one_evaluation(self):
+        # feasible() memoizes a vector without its joules; try_energy() on it
+        # later sums them, after the record has moved to another vector.
+        rng = random.Random(5)
+        for seed in range(20):
+            inst = random_small_instance(seed)
+            ev = EnergyEvaluator(inst)
+            m = len(inst.hosts)
+            a, b = (tuple(rng.randrange(m) for _ in inst.vms) for _ in range(2))
+            fits = ev.feasible(a)
+            ev.feasible(b)
+            assert ev.feasible(a) is fits
+            assert ev.evaluations == (1 if a == b else 2)
+            assert ev.try_energy(a) == EnergyEvaluator(inst).try_energy(a)
+            assert (ev.try_energy(a) is not None) is fits
+            assert ev.evaluations == (1 if a == b else 2)
 
     def test_fits_agrees_with_feasibility(self):
         inst = random_small_instance(9)

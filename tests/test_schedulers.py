@@ -4,6 +4,7 @@ import pytest
 
 from vmplace import (
     BudgetExceededError,
+    EnergyEvaluator,
     GaConfig,
     NoFeasibleHostError,
     ProblemInstance,
@@ -12,9 +13,54 @@ from vmplace import (
     check_feasibility,
     exact_schedule,
     gapa_schedule,
+    interpolate_power,
 )
+from vmplace.model import MIPS_EPS
 
-from conftest import dell_host, ibm_host, random_small_instance
+from conftest import dell_host, ibm_host, mixed_class_instance, random_small_instance
+
+
+def _plain_bfd(instance, idle):
+    """BFD as specified, scoring every host for every VM: the reference that
+    :func:`bfd_schedule` must match placement for placement."""
+    segs = instance.segments
+    hosts = instance.hosts
+    cap = instance.cap_demand_to_core
+    pe_load = [[0] * len(segs) for _ in hosts]
+    mips_load = [[0.0] * len(segs) for _ in hosts]
+
+    def watts(host, pe_d, mips_d):
+        if pe_d == 0 and not idle:
+            return 0.0
+        return interpolate_power(host.power_model, min(mips_d / host.total_mips, 1.0))
+
+    placement = {}
+    for v in sorted(instance.vms, key=lambda v: (v.start_time, -v.total_mips, v.id)):
+        span = [s for s, (t0, _t1) in enumerate(segs) if v.active_at(t0)]
+        best = None
+        for h, host in enumerate(hosts):
+            e = v.demand_mips_on(host, cap)
+            if any(
+                pe_load[h][s] + v.pe_count > host.pe_count
+                or mips_load[h][s] + e > host.total_mips + MIPS_EPS
+                for s in span
+            ):
+                continue
+            delta = 0.0
+            for s in span:
+                before = watts(host, pe_load[h][s], mips_load[h][s])
+                after = watts(host, pe_load[h][s] + v.pe_count, mips_load[h][s] + e)
+                delta += (after - before) * (segs[s][1] - segs[s][0])
+            if best is None or delta < best[0]:
+                best = (delta, h)
+        if best is None:
+            raise NoFeasibleHostError(v.id)
+        h = best[1]
+        for s in span:
+            pe_load[h][s] += v.pe_count
+            mips_load[h][s] += v.demand_mips_on(hosts[h], cap)
+        placement[v.id] = hosts[h].id
+    return placement
 
 
 class TestBfd:
@@ -86,6 +132,24 @@ class TestBfd:
         # beside it (4 + 1 PEs) and lands on host 1.
         assert result.placement == {"early-small": 0, "late-big": 1}
 
+    @pytest.mark.parametrize("idle", [False, True])
+    @pytest.mark.parametrize("cap", [False, True])
+    def test_matches_score_every_host_reference(self, idle, cap):
+        # Mixed classes, including two with the same cores and MIPS but
+        # different curves; with few hosts some draws run out of room.
+        checked = 0
+        for seed in range(25):
+            inst = mixed_class_instance(seed, 60, 12, 12, cap_demand_to_core=cap)
+            try:
+                expected = _plain_bfd(inst, idle)
+            except NoFeasibleHostError:
+                with pytest.raises(NoFeasibleHostError):
+                    bfd_schedule(inst, idle)
+                continue
+            assert bfd_schedule(inst, idle).placement == expected, seed
+            checked += 1
+        assert checked >= 20
+
 
 class TestGapa:
     def test_deterministic_per_seed(self):
@@ -153,6 +217,23 @@ class TestGapa:
         r2 = gapa_schedule(inst, cfg)
         assert r1.placement == r2.placement
         assert not check_feasibility(r1.placement, inst)
+
+    @pytest.mark.parametrize("mode", ["energy", "snapshot_power"])
+    def test_joule_sums_only_in_energy_mode(self, mode, monkeypatch):
+        # Snapshot fitness needs feasibility and peak watts, not joules; each
+        # new vector still counts as one evaluation in both modes.
+        sums = []
+        energy = EnergyEvaluator._energy
+
+        def counted(ev):
+            sums.append(1)
+            return energy(ev)
+
+        monkeypatch.setattr(EnergyEvaluator, "_energy", counted)
+        inst = mixed_class_instance(3, 40, 10, 8)
+        result = gapa_schedule(inst, GaConfig(generations=30, seed=1, fitness_mode=mode))
+        assert result.stats["evaluations"] > 0
+        assert len(sums) == (result.stats["evaluations"] if mode == "energy" else 0)
 
     def test_stats_record_run_parameters(self):
         inst = random_small_instance(4)
