@@ -12,11 +12,11 @@ By default a host with no active VMs draws 0 W (it is switched off); set
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from operator import ne
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import InfeasiblePlacementError
 from .model import (
@@ -168,6 +168,20 @@ def integrate_energy(
     return EnergyReport(per_host, total, total * KWH_PER_JOULE, tuple(segments))
 
 
+class _Record(NamedTuple):
+    """The load record of one gene vector, as :class:`EnergyEvaluator` keeps it."""
+
+    genes: Tuple[int, ...]
+    vms_at: List[Tuple[int, ...]]
+    pe_load: List[int]
+    mips_load: List[float]
+    bad: Set[int]
+    term: List[float]
+    stale: Set[int]
+    lead: Dict[int, int]
+    violation: Optional[Tuple[int, int]]
+
+
 class EnergyEvaluator:
     """Precomputed fast scorer for many candidate placements of one instance.
 
@@ -175,25 +189,44 @@ class EnergyEvaluator:
     is the hot path of the search algorithms and is safe to share between runs
     on the same instance.
 
-    The evaluator keeps one record of per-(host, segment) load for the genes
-    it was last asked about: each cell's VMs in ascending index order, its PE
-    and MIPS load, the set of violating cells and a cached energy term per
-    cell. :meth:`_compute` moves the record from its genes to the requested
-    ones and recounts only the cells whose VM set changed, from their VMs in
-    index order, so every load equals a count from scratch bit for bit; the
-    first pass is a move from the empty record. :meth:`first_violation`,
-    :meth:`fits`, :meth:`fits_all`, :meth:`host_vms`, :meth:`try_energy` and
-    :meth:`snapshot_power` read the record, moving it first when asked about
-    other genes. Only :meth:`try_energy` and :meth:`snapshot_power` turn loads
-    into watts. Results are memoized by gene tuple, but only for the vectors
+    A load record holds, for one gene vector, each (host, segment) cell's VMs
+    in ascending index order, its PE and MIPS load, the set of violating cells
+    and a cached energy term per cell. :meth:`_compute` makes the record of
+    the requested genes by moving a record it already has and recounting only
+    the cells whose VM set changed, from their VMs in index order, so every
+    load equals a count from scratch bit for bit; the first pass is a move
+    from the empty record. A pass starts from the record of :attr:`parent`
+    when that is set and kept (and clears it), otherwise from the record of
+    the previous pass. :meth:`first_violation`, :meth:`fits`,
+    :meth:`fits_all`, :meth:`host_vms`, :meth:`try_energy` and
+    :meth:`snapshot_power` read the current record, making it first when
+    asked about other genes. Only :meth:`try_energy` and
+    :meth:`snapshot_power` turn loads into watts.
+
+    Results are memoized by gene tuple, but only for the vectors
     :meth:`try_energy` or :meth:`feasible` is asked about; a vector memoized
-    as feasible needs no pass in :meth:`first_violation` either.
+    as feasible needs no pass in :meth:`first_violation` either. Those calls
+    also keep the vector's record, copy-on-write, so a later pass never
+    changes a kept record. :meth:`keep_records` drops the ones a caller no
+    longer names as parents; at most ``_RECORD_LIMIT`` are kept in any case.
     """
+
+    # Slots keep attribute reads fast however many attributes there are: past
+    # 30, an instance dict stops sharing its keys and every read slows down.
+    # "__dict__" still lets a test patch a method on one instance.
+    __slots__ = (
+        "instance", "idle", "nseg", "seg_len", "host_count", "spans", "cell_runs",
+        "pe", "eff", "host_pe", "host_mips", "mips_cap", "tables", "host_class",
+        "_watts", "idle_base", "evaluations", "_cache", "_last_genes",
+        "_last_violation", "_records", "_shared", "parent", "_vms_at", "_pe_load",
+        "_mips_load", "_bad", "_term", "_stale", "_lead", "__dict__",
+    )
 
     _MISS = object()
     # Cached by feasible(): the placement fits, its joules are not summed yet.
     _FEASIBLE = object()
     _CACHE_LIMIT = 150_000
+    _RECORD_LIMIT = 64
 
     def __init__(self, instance: ProblemInstance, idle_hosts_powered: bool = False):
         self.instance = instance
@@ -229,6 +262,17 @@ class EnergyEvaluator:
         self.host_mips = [h.total_mips for h in instance.hosts]
         self.mips_cap = [c + MIPS_EPS for c in self.host_mips]
         self.tables = [h.power_model.samples for h in instance.hosts]
+        # A host class is the hosts with equal cores, core MIPS and power
+        # samples; they draw the same watts at the same load.
+        classes: Dict[tuple, int] = {}
+        self.host_class = [
+            classes.setdefault((h.pe_count, h.mips_per_pe, h.power_model.samples), len(classes))
+            for h in instance.hosts
+        ]
+        # Watts (less the idle draw when idle hosts are powered) by MIPS load,
+        # one memo per class, reached by host.
+        memos: List[Dict[float, float]] = [{} for _ in classes]
+        self._watts = [memos[c] for c in self.host_class]
         self.idle_base = (
             ordered_sum(t[0] for t in self.tables) * instance.horizon if idle_hosts_powered else 0.0
         )
@@ -239,11 +283,20 @@ class EnergyEvaluator:
         # BFD uses it) never pays for it.
         self._last_genes: Optional[Tuple[int, ...]] = None
         self._last_violation: Optional[Tuple[int, int]] = None
+        # Kept records by genes, and whether the current record is one of
+        # them (then the next pass copies it before changing it).
+        self._records: Dict[Tuple[int, ...], _Record] = {}
+        self._shared = False
+        #: Genes of a kept record that the next load pass should start from;
+        #: a search sets it to a child's parent. Only a pass reads it.
+        self.parent: Optional[Tuple[int, ...]] = None
 
     def _empty_record(self) -> None:
         """Start the record with no VM placed."""
         cells = self.host_count * self.nseg
-        self._vms_at: List[List[int]] = [[] for _ in range(cells)]
+        # Each cell's VMs are a tuple, replaced when they change, so copies
+        # of the record share the cells they have in common.
+        self._vms_at: List[Tuple[int, ...]] = [()] * cells
         self._pe_load = [0] * cells
         self._mips_load = [0.0] * cells
         self._bad: Set[int] = set()
@@ -255,6 +308,7 @@ class EnergyEvaluator:
         self._term = [0.0] * cells
         self._stale: Set[int] = set()
         self._lead: Dict[int, int] = {}
+        self._shared = False
 
     def try_energy(self, genes: Tuple[int, ...], cache: bool = True) -> Optional[float]:
         """Total joules of the placement, or None if it violates capacity."""
@@ -283,9 +337,40 @@ class EnergyEvaluator:
         return val is not None
 
     def _remember(self, genes: Tuple[int, ...], val) -> None:
+        """Memoize ``val`` and keep the record of ``genes``, the current one."""
         if len(self._cache) > self._CACHE_LIMIT:
             self._cache.clear()
         self._cache[genes] = val
+        records = self._records
+        if len(records) >= self._RECORD_LIMIT:
+            records.clear()
+        # A compact copy: inserts may have grown the table well past its use.
+        self._lead = dict(self._lead)
+        records[genes] = _Record(
+            genes,
+            self._vms_at,
+            self._pe_load,
+            self._mips_load,
+            self._bad,
+            self._term,
+            self._stale,
+            self._lead,
+            self._last_violation,
+        )
+        self._shared = True
+
+    def keep_records(self, keep: Sequence[Tuple[int, ...]]) -> None:
+        """Drop the kept records of the vectors not in ``keep``. Nothing is
+        dropped while there are no more records than vectors in ``keep``, so
+        a call after a generation that kept few new records costs nothing."""
+        old = self._records
+        if len(old) <= len(keep):
+            return
+        self._records = records = {}
+        for genes in keep:
+            rec = old.get(genes)
+            if rec is not None:
+                records[genes] = rec
 
     def _violation(self, genes) -> Optional[Tuple[int, int]]:
         """Earliest violation of ``genes``; afterwards the record holds their loads."""
@@ -295,22 +380,27 @@ class EnergyEvaluator:
         return self._last_violation
 
     def _compute(self, genes: Tuple[int, ...]) -> Optional[Tuple[int, int]]:
-        """Move the record to ``genes`` and return the earliest
+        """Make the record of ``genes`` current and return the earliest
         (segment_index, host_index) whose capacity is exceeded.
 
-        Only the cells whose VM set changes are recounted, each from its VMs
-        in ascending index order with left-to-right addition, never by adding
-        and subtracting the moved VMs: the loads stay exactly those of a count
-        from scratch, including at an exact capacity fill. A gene that is not
-        a host index raises ValueError and leaves the record as it was.
+        The pass starts from the kept record of :attr:`parent` if there is
+        one, else from the current record. Only the cells whose VM set changes
+        are recounted, each from its VMs in ascending index order with
+        left-to-right addition, never by adding and subtracting the moved VMs:
+        the loads stay exactly those of a count from scratch, including at an
+        exact capacity fill. A gene that is not a host index raises ValueError
+        and leaves the current and every kept record as they were.
         """
-        n = len(self.instance.vms)
+        base = None
+        if self.parent is not None:
+            base = self._records.get(self.parent)
+            self.parent = None
+        n = len(self.spans)
         if len(genes) != n:
             raise ValueError(f"{len(genes)} genes for {n} VMs")
-        old = self._last_genes
+        old = self._last_genes if base is None else base.genes
         if old is None:
             # The first pass moves every VM from the empty record (host -1).
-            self._empty_record()
             old = (-1,) * n
             changed: Sequence[int] = range(n)
         else:
@@ -319,6 +409,30 @@ class EnergyEvaluator:
         for i in changed:
             if not 0 <= genes[i] < m:
                 raise ValueError(f"gene {i}: host index {genes[i]!r} outside 0..{m - 1}")
+        if base is not None:
+            (
+                self._last_genes,
+                self._vms_at,
+                self._pe_load,
+                self._mips_load,
+                self._bad,
+                self._term,
+                self._stale,
+                self._lead,
+                self._last_violation,
+            ) = base
+            self._shared = True
+        elif self._last_genes is None:
+            self._empty_record()
+        if self._shared:
+            self._vms_at = self._vms_at[:]
+            self._pe_load = self._pe_load[:]
+            self._mips_load = self._mips_load[:]
+            self._bad = set(self._bad)
+            self._term = self._term[:]
+            self._stale = set(self._stale)
+            self._lead = dict(self._lead)
+            self._shared = False
         vms_at = self._vms_at
         cell_runs = self.cell_runs
         dirty: Set[int] = set()
@@ -328,10 +442,14 @@ class EnergyEvaluator:
             for off in cell_runs[i]:
                 if was >= 0:
                     k = off + was
-                    vms_at[k].remove(i)
+                    at = vms_at[k]
+                    j = at.index(i)
+                    vms_at[k] = at[:j] + at[j + 1 :]
                     dirty.add(k)
                 k = off + now
-                insort(vms_at[k], i)
+                at = vms_at[k]
+                j = bisect_left(at, i)
+                vms_at[k] = at[:j] + (i,) + at[j:]
                 dirty.add(k)
         pe = self.pe
         eff = self.eff
@@ -360,7 +478,11 @@ class EnergyEvaluator:
             else:
                 bad.discard(k)
             if vms:
-                lead[k] = vms[0] * cells + k
+                key = vms[0] * cells + k
+                # Store only a new key: an equal one stays shared with the
+                # record this pass started from.
+                if lead.get(k) != key:
+                    lead[k] = key
             else:
                 del lead[k]
         self._last_genes = genes
@@ -368,25 +490,34 @@ class EnergyEvaluator:
         return self._last_violation
 
     def _energy(self) -> float:
-        """Total joules of the recorded pass, which must be feasible. Only the
-        cells whose load changed since the last call are interpolated again;
-        the terms are summed in first-touch order."""
+        """Total joules of the current record, which must be feasible. Only
+        the cells whose load changed since their terms were set get new ones,
+        from the watts memo or the power curve; the terms are summed in
+        first-touch order. Refreshing terms in place is safe on a kept record,
+        because they stay those of its own genes."""
         m = self.host_count
         pe_l = self._pe_load
         mips_l = self._mips_load
-        host_mips = self.host_mips
-        tables = self.tables
         seg_len = self.seg_len
         term = self._term
+        watts = self._watts
         for k in self._stale:
             if pe_l[k]:
                 s, h = divmod(k, m)
-                u = mips_l[k] / host_mips[h]
-                if u > 1.0:
-                    u = 1.0
-                w = _interp(tables[h], u)
-                if self.idle:
-                    w -= tables[h][0]
+                x = mips_l[k]
+                memo = watts[h]
+                w = memo.get(x)
+                if w is None:
+                    if len(memo) > self._CACHE_LIMIT:
+                        memo.clear()
+                    u = x / self.host_mips[h]
+                    if u > 1.0:
+                        u = 1.0
+                    table = self.tables[h]
+                    w = _interp(table, u)
+                    if self.idle:
+                        w -= table[0]
+                    memo[x] = w
                 term[k] = w * seg_len[s]
         self._stale.clear()
         total = self.idle_base
@@ -410,7 +541,7 @@ class EnergyEvaluator:
         vms_at = self._vms_at
         m = self.host_count
         if seg is not None:
-            return vms_at[seg * m + host_idx][:]
+            return list(vms_at[seg * m + host_idx])
         on: Set[int] = set()
         for off in range(0, self.nseg * m, m):
             on.update(vms_at[off + host_idx])

@@ -255,8 +255,9 @@ def bfd_schedule(instance: ProblemInstance, idle_hosts_powered: bool = False) ->
     that was empty; ties go to the lowest host index. Deterministic.
 
     Only the hosts that can win are scored: every host already in use, plus
-    each host class's lowest-index unused host. A class is the hosts with
-    equal cores, core MIPS and power samples. Its unused hosts all have the
+    each host class's lowest-index unused host. A class
+    (``EnergyEvaluator.host_class``) is the hosts with equal cores, core MIPS
+    and power samples. Its unused hosts all have the
     same fit and the same delta, so none of them can beat the lowest-index
     one, and the result is exactly that of scoring every host. Each
     (segment, host) cell keeps its current watts, so scoring a host
@@ -284,14 +285,13 @@ def bfd_schedule(instance: ProblemInstance, idle_hosts_powered: bool = False) ->
     # host. successor[h] is the next host of h's class, not yet a candidate.
     candidates: List[int] = []
     successor: Dict[int, int] = {}
-    last: Dict[tuple, int] = {}
-    for h, host in enumerate(instance.hosts):
-        key = (host.pe_count, host.mips_per_pe, host.power_model.samples)
-        if key in last:
-            successor[last[key]] = h
+    last: Dict[int, int] = {}
+    for h, c in enumerate(ev.host_class):
+        if c in last:
+            successor[last[c]] = h
         else:
             candidates.append(h)
-        last[key] = h
+        last[c] = h
 
     genes: List[int] = [0] * n
     for i in order:
@@ -357,6 +357,17 @@ def gapa_schedule(
     move leaves unchanged is scored from the load pass repair just made;
     elites keep the fitness they had.
 
+    The evaluator keeps the load record of every individual it scores. A
+    child's first load pass starts from its parent's record (``p1``'s for
+    the first crossover child, ``p2``'s for the second), which differs from
+    it in the crossover tail and the mutated genes, not from the record of
+    the child built before it. After each generation the records of
+    individuals that left the population are dropped, so at most two
+    populations' records are alive, and none when the run returns. Runs that
+    share one ``_evaluator`` share its memo of scores: their results are
+    those of fresh evaluators, but ``stats["evaluations"]`` counts only the
+    vectors no earlier run scored.
+
     The host move lets the search empty a whole host in one step. Moving VMs
     one at a time often raises energy first, because a host draws its idle
     watts until its last VM leaves, so single-gene mutation alone stalls in
@@ -391,23 +402,28 @@ def gapa_schedule(
         new_pop = [population[i] for i in elites]
         new_fit = [fitnesses[i] for i in elites]
         while len(new_pop) < config.population_size:
-            p1, p2 = select_parents(population, fitnesses, rng)
-            for child in crossover(p1, p2, config.crossover_prob, rng):
+            parents = select_parents(population, fitnesses, rng)
+            children = crossover(*parents, config.crossover_prob, rng)
+            for j in (0, 1):
                 if len(new_pop) >= config.population_size:
                     break
-                child = mutate(child, config.mutation_prob, m, rng)
+                child = mutate(children[j], config.mutation_prob, m, rng)
+                ev.parent = parents[j]
                 child = repair(child, ev, rng)
                 child = move_host(child, config.mutation_prob, ev, rng)
                 new_pop.append(child)
                 new_fit.append(fitness(child, ev, config))
         population = new_pop
         fitnesses = new_fit
+        ev.keep_records(population)
         gen_best = max(fitnesses)
         trajectory.append(gen_best)
         for g, f in zip(population, fitnesses):
             if f > best_fit:
                 best_genes, best_fit = g, f
 
+    ev.parent = None
+    ev.keep_records(())
     placement = placement_from_genes(best_genes, instance)
     report = integrate_energy(placement, instance, idle_hosts_powered)
     stats = {

@@ -192,6 +192,11 @@ def parse_timetable(source) -> List[TimetableRow]:
     return rows
 
 
+def _escape_id(part: str) -> str:
+    """``part`` with ``%`` and ``-`` percent-encoded (``%`` first)."""
+    return part.replace("%", "%25").replace("-", "%2D")
+
+
 def expand(
     rows: Sequence[TimetableRow],
     slots: SlotConfig = SlotConfig(),
@@ -200,7 +205,9 @@ def expand(
     """One VM per enrolled student, timed by the row's slot mask.
 
     VM ids are deterministic: ``<class_id>-<group_id>-<ordinal>`` with the
-    ordinal counting per (class, group) across rows.
+    ordinal counting per (class, group) across rows. A ``%`` or ``-`` inside
+    a class or group id is written ``%25`` or ``%2D``, so distinct (class,
+    group) pairs never share an id; ids without them are unchanged.
 
     Days run back to back: a day lasts one slot mask (``len(slot_mask)`` slots)
     and the earliest day in ``rows`` starts at ``slots.day_origin``. The
@@ -222,12 +229,13 @@ def expand(
         day_offset = (row.day - first_day) * len(row.slot_mask)
         start = slots.day_origin + (day_offset + row.first_slot - 1) * slots.slot_length
         key = (row.class_id, row.group_id)
+        prefix = f"{_escape_id(row.class_id)}-{_escape_id(row.group_id)}-"
         for _ in range(row.students):
             ordinal = counters.get(key, 0) + 1
             counters[key] = ordinal
             vms.append(
                 VmRequest(
-                    id=f"{row.class_id}-{row.group_id}-{ordinal:03d}",
+                    id=f"{prefix}{ordinal:03d}",
                     pe_count=pe_count,
                     mips_per_pe=mips_per_pe,
                     start_time=start,

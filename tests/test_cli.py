@@ -312,10 +312,12 @@ class TestMain:
             pytest.param(["solve", "--fleet", "count-inf.json"], EXIT_CONFIG, id="solve-fleet-count-overflow"),
             pytest.param(["solve", "--fleet", "count-negative.json"], EXIT_CONFIG, id="solve-fleet-count-negative"),
             pytest.param(["solve", "--workload", "long-field.csv"], EXIT_CONFIG, id="solve-workload-field-too-long"),
+            pytest.param(["solve", "--workload", "dashed-ids.csv"], EXIT_OK, id="solve-dashes-in-class-and-group-ids"),
         ],
     )
     def test_exit_code_matrix(self, argv, expected, tmp_path, monkeypatch, capsys):
-        """Typed errors map to exit codes 2, 3 and 4 with an ``error:`` line.
+        """Typed errors map to exit codes 2, 3 and 4 with an ``error:`` line;
+        valid inputs next to them exit 0 with nothing on stderr.
         ``test_bad_workload_exits_config``, ``test_missing_file_exits_io`` and
         ``test_infeasible_placement_exits_infeasible`` cover the other cells."""
         monkeypatch.chdir(tmp_path)
@@ -339,12 +341,17 @@ class TestMain:
             ),
             # One field past the csv module's 131,072-character limit.
             "long-field.csv": FIVE_VM_TIMETABLE + "6,1,C2," + "G" * 131_073 + ",1,123------------,8100\n",
+            # Class C-1 with group G and class C with group 1-G.
+            "dashed-ids.csv": FIVE_VM_TIMETABLE.replace("C1,G1", "C-1,G") + "6,1,C,1-G,5,123------------,8100\n",
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         assert main(argv) == expected
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        if expected == EXIT_OK:
+            assert err == ""
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_infeasible_placement_exits_infeasible(self, tmp_path):
         # All 211 single-core VMs on one 16-core host cannot be feasible.

@@ -28,7 +28,7 @@ from vmplace import (
 from vmplace.model import MIPS_EPS
 from vmplace.power import ordered_sum
 
-from conftest import dell_host, ibm_host, random_small_instance
+from conftest import dell_host, ibm_host, mixed_class_instance, random_small_instance
 
 
 def _expected_violation(inst, genes):
@@ -350,3 +350,99 @@ class TestMovingRecord:
             genes[i] = 1 - genes[i]
             self._check_step(walker, inst, genes)
         assert walker.first_violation((0,) * 8 + (1,)) is None
+
+
+def _own_record(inst, genes, idle):
+    """The load fields of a fresh evaluator's record of ``genes``: everything
+    but the energy terms, which ``_energy`` may refresh in place."""
+    ev = EnergyEvaluator(inst, idle)
+    ev.feasible(genes)
+    return ev._records[genes]._replace(term=None, stale=None)
+
+
+class TestKeptRecords:
+    """Passes that start from a kept parent record, named or not."""
+
+    def _score(self, ev, genes, mode):
+        if mode == "energy":
+            return ev.try_energy(genes)
+        return ev.snapshot_power(genes) if ev.feasible(genes) else None
+
+    def _child(self, rng, parent, pool, m):
+        genes = list(parent)
+        if rng.random() < 0.5:
+            cut = rng.randrange(len(genes))
+            genes[cut:] = rng.choice(pool)[cut:]
+        for _ in range(rng.randrange(3)):
+            genes[rng.randrange(len(genes))] = rng.randrange(m)
+        return tuple(genes)
+
+    def test_children_of_kept_parents_match_fresh_evaluators_and_the_reference(self):
+        rng = random.Random(37)
+        instances = [_exact_fill_instance()] + [_fractional_instance(seed) for seed in range(6)]
+        # Hosts of one shape with two power curves must not share watts.
+        instances += [mixed_class_instance(seed, 8, 5, 3) for seed in range(4)]
+        feasible = steps = hinted = 0
+        for inst in instances:
+            m = len(inst.hosts)
+            for idle in (False, True):
+                for mode in ("energy", "snapshot"):
+                    ev = EnergyEvaluator(inst, idle_hosts_powered=idle)
+                    pool = [tuple(rng.randrange(m) for _ in inst.vms) for _ in range(4)]
+                    for genes in pool:
+                        self._score(ev, genes, mode)
+                    for _ in range(30):
+                        parent = rng.choice(pool)
+                        child = self._child(rng, parent, pool, m)
+                        if rng.random() < 0.7:
+                            ev.parent = parent
+                            hinted += parent in ev._records
+                        expected = _expected_violation(inst, child)
+                        got = self._score(ev, child, mode)
+                        assert got == self._score(EnergyEvaluator(inst, idle), child, mode)
+                        assert ev.first_violation(child) == expected
+                        if expected is None:
+                            feasible += 1
+                            report = integrate_energy(placement_from_genes(child, inst), inst, idle)
+                            if mode == "energy":
+                                assert got == _first_touch_energy(inst, child, idle)
+                                assert got == pytest.approx(report.total_joules, rel=1e-12)
+                        else:
+                            assert got is None
+                        steps += 1
+                        pool.append(child)
+                        if rng.random() < 0.1:
+                            ev.keep_records(rng.sample(pool, 4))
+                    for genes, rec in ev._records.items():
+                        assert rec._replace(term=None, stale=None) == _own_record(inst, genes, idle)
+        assert feasible > steps // 4 and feasible < steps
+        assert hinted > steps // 3
+
+    def test_rejected_vector_leaves_kept_records_unchanged(self):
+        inst = _spanning_instance()
+        ev = EnergyEvaluator(inst)
+        kept = [(0, 1, 0, 1, 0, 1), (2, 2, 2, 2, 2, 2), (0, 0, 1, 1, 2, 2)]
+        for genes in kept:
+            ev.try_energy(genes)
+        before = {g: _own_record(inst, g, False) for g in kept}
+        for bad in ([0, 1, 0, 3, 0, 1], [2, 1, 0, 1, 0, -1], [0, 1, 0], (0,) * 7):
+            for parent in (None, kept[0], kept[2]):
+                ev.parent = parent
+                with pytest.raises(ValueError):
+                    ev.first_violation(bad)
+                assert ev.parent is None
+                assert {
+                    g: rec._replace(term=None, stale=None) for g, rec in ev._records.items()
+                } == before
+        ev.parent = kept[1]
+        child = (2, 2, 2, 2, 2, 0)
+        assert ev.try_energy(child) == EnergyEvaluator(inst).try_energy(child)
+        assert ev._records[kept[1]]._replace(term=None, stale=None) == before[kept[1]]
+
+    def test_record_count_is_bounded(self):
+        inst = _spanning_instance()
+        ev = EnergyEvaluator(inst)
+        for code in range(3**6):
+            genes = tuple(code // 3**i % 3 for i in range(6))
+            ev.feasible(genes)
+            assert len(ev._records) <= ev._RECORD_LIMIT

@@ -235,6 +235,34 @@ class TestGapa:
         assert result.stats["evaluations"] > 0
         assert len(sums) == (result.stats["evaluations"] if mode == "energy" else 0)
 
+    @pytest.mark.parametrize("mode", ["energy", "snapshot_power"])
+    def test_shared_evaluator_matches_fresh_ones_and_keeps_nothing(self, mode):
+        # Acceptance 2 and 3 run many seeds on one evaluator, as here.
+        inst = mixed_class_instance(5, 30, 8, 6)
+        shared = EnergyEvaluator(inst)
+        for seed in (1, 2):
+            cfg = GaConfig(generations=40, seed=seed, fitness_mode=mode)
+            got = gapa_schedule(inst, cfg, _evaluator=shared)
+            fresh = gapa_schedule(inst, cfg)
+            assert got.placement == fresh.placement
+            assert got.energy == fresh.energy
+            assert got.stats["trajectory"] == fresh.stats["trajectory"]
+            assert shared._records == {} and shared.parent is None
+
+    def test_kept_records_stay_within_two_populations(self, monkeypatch):
+        alive = []
+        remember = EnergyEvaluator._remember
+
+        def counted(ev, genes, val):
+            remember(ev, genes, val)
+            alive.append(len(ev._records))
+
+        monkeypatch.setattr(EnergyEvaluator, "_remember", counted)
+        inst = mixed_class_instance(7, 40, 10, 8)
+        config = GaConfig(population_size=6, generations=60, seed=3)
+        gapa_schedule(inst, config)
+        assert config.population_size < max(alive) <= 2 * config.population_size + 1
+
     def test_stats_record_run_parameters(self):
         inst = random_small_instance(4)
         result = gapa_schedule(inst, GaConfig(generations=5, seed=42))

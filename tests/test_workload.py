@@ -173,6 +173,23 @@ class TestExpand:
         vms = expand(parse_timetable(text))
         assert [v.id for v in vms] == ["c-g-001", "c-g-002", "c-g-003", "c-g-004"]
 
+    def test_dashes_in_class_and_group_ids_keep_ids_distinct(self):
+        # Unescaped, both rows would give "C-1-G-001".
+        text = (
+            HEADER
+            + "1,s,C-1,G,1,1--------------,2700\n"
+            + "1,s,C,1-G,1,1--------------,2700\n"
+            + "1,s,%2D,x%,1,1--------------,2700\n"
+            + "1,s,-,x%,1,1--------------,2700\n"
+        )
+        vms = expand(parse_timetable(text))
+        assert [v.id for v in vms] == [
+            "C%2D1-G-001",
+            "C-1%2DG-001",
+            "%252D-x%25-001",
+            "%2D-x%25-001",
+        ]
+
 
 class TestFleet:
     def test_default_fleet_shape(self):
