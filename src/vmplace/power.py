@@ -168,6 +168,13 @@ def integrate_energy(
     return EnergyReport(per_host, total, total * KWH_PER_JOULE, tuple(segments))
 
 
+#: What the evaluator's memo holds for a vector not scored yet, and for one
+#: :meth:`EnergyEvaluator.feasible` scored (it fits; its joules are not summed
+#: yet). Module globals, because an instance reads a class attribute slower.
+_MISS = object()
+_FEASIBLE = object()
+
+
 class _Record(NamedTuple):
     """The load record of one gene vector, as :class:`EnergyEvaluator` keeps it."""
 
@@ -179,7 +186,6 @@ class _Record(NamedTuple):
     term: List[float]
     stale: Set[int]
     lead: Dict[int, int]
-    violation: Optional[Tuple[int, int]]
 
 
 class EnergyEvaluator:
@@ -213,18 +219,15 @@ class EnergyEvaluator:
 
     # Slots keep attribute reads fast however many attributes there are: past
     # 30, an instance dict stops sharing its keys and every read slows down.
-    # "__dict__" still lets a test patch a method on one instance.
+    # A "__dict__" slot would slow method calls again, so there is none.
     __slots__ = (
         "instance", "idle", "nseg", "seg_len", "host_count", "spans", "cell_runs",
         "pe", "eff", "host_pe", "host_mips", "mips_cap", "tables", "host_class",
         "_watts", "idle_base", "evaluations", "_cache", "_last_genes",
         "_last_violation", "_records", "_shared", "parent", "_vms_at", "_pe_load",
-        "_mips_load", "_bad", "_term", "_stale", "_lead", "__dict__",
+        "_mips_load", "_bad", "_term", "_stale", "_lead",
     )
 
-    _MISS = object()
-    # Cached by feasible(): the placement fits, its joules are not summed yet.
-    _FEASIBLE = object()
     _CACHE_LIMIT = 150_000
     _RECORD_LIMIT = 64
 
@@ -269,30 +272,30 @@ class EnergyEvaluator:
             classes.setdefault((h.pe_count, h.mips_per_pe, h.power_model.samples), len(classes))
             for h in instance.hosts
         ]
-        # Watts (less the idle draw when idle hosts are powered) by MIPS load,
-        # one memo per class, reached by host.
-        memos: List[Dict[float, float]] = [{} for _ in classes]
-        self._watts = [memos[c] for c in self.host_class]
         self.idle_base = (
             ordered_sum(t[0] for t in self.tables) * instance.horizon if idle_hosts_powered else 0.0
         )
         self.evaluations = 0
         self._cache: Dict[Tuple[int, ...], Optional[float]] = {}
         # The record of the last pass, None until a pass succeeds; the first
-        # pass builds it empty, so an evaluator used only for its tables (as
-        # BFD uses it) never pays for it.
+        # pass builds it empty, and the watts memo, so an evaluator used only
+        # for its tables (as BFD uses it) never pays for them.
         self._last_genes: Optional[Tuple[int, ...]] = None
         self._last_violation: Optional[Tuple[int, int]] = None
-        # Kept records by genes, and whether the current record is one of
-        # them (then the next pass copies it before changing it).
+        # Kept records by genes, and the kept record the current one is, if
+        # any (then the next pass copies it before changing it).
         self._records: Dict[Tuple[int, ...], _Record] = {}
-        self._shared = False
+        self._shared: Optional[_Record] = None
         #: Genes of a kept record that the next load pass should start from;
         #: a search sets it to a child's parent. Only a pass reads it.
         self.parent: Optional[Tuple[int, ...]] = None
 
     def _empty_record(self) -> None:
-        """Start the record with no VM placed."""
+        """Start the record with no VM placed, and an empty watts memo."""
+        # Watts (less the idle draw when idle hosts are powered) by MIPS load,
+        # one memo per host class, reached by host.
+        memos: Dict[int, Dict[float, float]] = {}
+        self._watts = [memos.setdefault(c, {}) for c in self.host_class]
         cells = self.host_count * self.nseg
         # Each cell's VMs are a tuple, replaced when they change, so copies
         # of the record share the cells they have in common.
@@ -308,14 +311,14 @@ class EnergyEvaluator:
         self._term = [0.0] * cells
         self._stale: Set[int] = set()
         self._lead: Dict[int, int] = {}
-        self._shared = False
+        self._shared = None
 
     def try_energy(self, genes: Tuple[int, ...], cache: bool = True) -> Optional[float]:
         """Total joules of the placement, or None if it violates capacity."""
         if cache:
-            val = self._cache.get(genes, self._MISS)
-            if val is not self._MISS:
-                if val is self._FEASIBLE:
+            val = self._cache.get(genes, _MISS)
+            if val is not _MISS:
+                if val is _FEASIBLE:
                     # Counted when feasible() scored it; only the joules are new.
                     self._violation(genes)
                     val = self._cache[genes] = self._energy()
@@ -329,10 +332,10 @@ class EnergyEvaluator:
     def feasible(self, genes: Tuple[int, ...]) -> bool:
         """Whether the placement fits every host. Memoized and counted as an
         evaluation like :meth:`try_energy`, but sums no joules."""
-        val = self._cache.get(genes, self._MISS)
-        if val is self._MISS:
+        val = self._cache.get(genes, _MISS)
+        if val is _MISS:
             self.evaluations += 1
-            val = None if self._violation(genes) else self._FEASIBLE
+            val = None if self._violation(genes) else _FEASIBLE
             self._remember(genes, val)
         return val is not None
 
@@ -346,7 +349,7 @@ class EnergyEvaluator:
             records.clear()
         # A compact copy: inserts may have grown the table well past its use.
         self._lead = dict(self._lead)
-        records[genes] = _Record(
+        records[genes] = self._shared = _Record(
             genes,
             self._vms_at,
             self._pe_load,
@@ -355,9 +358,7 @@ class EnergyEvaluator:
             self._term,
             self._stale,
             self._lead,
-            self._last_violation,
         )
-        self._shared = True
 
     def keep_records(self, keep: Sequence[Tuple[int, ...]]) -> None:
         """Drop the kept records of the vectors not in ``keep``. Nothing is
@@ -409,30 +410,20 @@ class EnergyEvaluator:
         for i in changed:
             if not 0 <= genes[i] < m:
                 raise ValueError(f"gene {i}: host index {genes[i]!r} outside 0..{m - 1}")
+        if base is None:
+            if self._last_genes is None:
+                self._empty_record()
+            base = self._shared
         if base is not None:
-            (
-                self._last_genes,
-                self._vms_at,
-                self._pe_load,
-                self._mips_load,
-                self._bad,
-                self._term,
-                self._stale,
-                self._lead,
-                self._last_violation,
-            ) = base
-            self._shared = True
-        elif self._last_genes is None:
-            self._empty_record()
-        if self._shared:
-            self._vms_at = self._vms_at[:]
-            self._pe_load = self._pe_load[:]
-            self._mips_load = self._mips_load[:]
-            self._bad = set(self._bad)
-            self._term = self._term[:]
-            self._stale = set(self._stale)
-            self._lead = dict(self._lead)
-            self._shared = False
+            # Copy on write: a kept record is never changed.
+            self._vms_at = base.vms_at[:]
+            self._pe_load = base.pe_load[:]
+            self._mips_load = base.mips_load[:]
+            self._bad = set(base.bad)
+            self._term = base.term[:]
+            self._stale = set(base.stale)
+            self._lead = dict(base.lead)
+            self._shared = None
         vms_at = self._vms_at
         cell_runs = self.cell_runs
         dirty: Set[int] = set()

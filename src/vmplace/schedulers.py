@@ -122,12 +122,9 @@ def select_parents(
         raise ValueError("empty population")
     cumulative = list(accumulate(fitnesses))
     total = cumulative[-1]
-
-    def draw() -> Genes:
-        x = rng.random() * total
-        return population[min(bisect_right(cumulative, x), len(population) - 1)]
-
-    return draw(), draw()
+    last = len(population) - 1
+    first = population[min(bisect_right(cumulative, rng.random() * total), last)]
+    return first, population[min(bisect_right(cumulative, rng.random() * total), last)]
 
 
 def crossover(
@@ -170,7 +167,7 @@ def move_host(c: Genes, prob: float, ev: EnergyEvaluator, rng: random.Random) ->
     every moved VM next to its own; otherwise nothing moves. Only the target's
     load grows, so a feasible input gives a feasible output.
     """
-    m = len(ev.instance.hosts)
+    m = ev.host_count
     if prob <= 0.0 or m < 2:
         return c
     rand = rng.random
@@ -396,21 +393,24 @@ def gapa_schedule(
             best_genes, best_fit = g, f
     trajectory = [max(fitnesses)]
 
+    size = config.population_size
+    p_cross = config.crossover_prob
+    p_mut = config.mutation_prob
     for _generation in range(config.generations):
         ranked = sorted(range(len(population)), key=lambda i: -fitnesses[i])
         elites = ranked[:ELITE_COUNT]
         new_pop = [population[i] for i in elites]
         new_fit = [fitnesses[i] for i in elites]
-        while len(new_pop) < config.population_size:
-            parents = select_parents(population, fitnesses, rng)
-            children = crossover(*parents, config.crossover_prob, rng)
-            for j in (0, 1):
-                if len(new_pop) >= config.population_size:
+        while len(new_pop) < size:
+            p1, p2 = select_parents(population, fitnesses, rng)
+            c1, c2 = crossover(p1, p2, p_cross, rng)
+            for child, parent in ((c1, p1), (c2, p2)):
+                if len(new_pop) >= size:
                     break
-                child = mutate(children[j], config.mutation_prob, m, rng)
-                ev.parent = parents[j]
+                child = mutate(child, p_mut, m, rng)
+                ev.parent = parent
                 child = repair(child, ev, rng)
-                child = move_host(child, config.mutation_prob, ev, rng)
+                child = move_host(child, p_mut, ev, rng)
                 new_pop.append(child)
                 new_fit.append(fitness(child, ev, config))
         population = new_pop

@@ -209,7 +209,7 @@ class TestLastPassRecord:
                 assert genes == repair(raw, EnergyEvaluator(inst), random.Random(seed))
                 assert shared.try_energy(genes) == EnergyEvaluator(inst).try_energy(genes)
 
-    def test_cached_feasible_vector_needs_no_pass(self):
+    def test_cached_feasible_vector_needs_no_pass(self, monkeypatch):
         inst = random_small_instance(3)
         ev = EnergyEvaluator(inst)
         genes = (0,) * len(inst.vms)
@@ -218,8 +218,8 @@ class TestLastPassRecord:
         ev.try_energy(genes)
         ev.try_energy(tuple((g + 1) % len(inst.hosts) for g in genes))
         passes = []
-        kernel = ev._compute
-        ev._compute = lambda g: passes.append(g) or kernel(g)
+        kernel = EnergyEvaluator._compute
+        monkeypatch.setattr(EnergyEvaluator, "_compute", lambda self, g: passes.append(g) or kernel(self, g))
         assert ev.first_violation(genes) is None
         assert ev.first_violation(list(genes)) is None
         assert passes == []
