@@ -185,7 +185,8 @@ class _Record(NamedTuple):
     bad: Set[int]
     term: List[float]
     stale: Set[int]
-    lead: Dict[int, int]
+    order: List[int]
+    slot: List[int]
 
 
 class EnergyEvaluator:
@@ -223,9 +224,9 @@ class EnergyEvaluator:
     __slots__ = (
         "instance", "idle", "nseg", "seg_len", "host_count", "spans", "cell_runs",
         "pe", "eff", "host_pe", "host_mips", "mips_cap", "tables", "host_class",
-        "_watts", "idle_base", "evaluations", "_cache", "_last_genes",
-        "_last_violation", "_records", "_shared", "parent", "_vms_at", "_pe_load",
-        "_mips_load", "_bad", "_term", "_stale", "_lead",
+        "_watts", "_first_slot", "idle_base", "evaluations", "_cache", "_last_genes",
+        "_last_violation", "_records", "_shared", "parent", "_moved", "_vms_at",
+        "_pe_load", "_mips_load", "_bad", "_term", "_stale", "_order", "_slot",
     )
 
     _CACHE_LIMIT = 150_000
@@ -289,14 +290,23 @@ class EnergyEvaluator:
         #: Genes of a kept record that the next load pass should start from;
         #: a search sets it to a child's parent. Only a pass reads it.
         self.parent: Optional[Tuple[int, ...]] = None
+        # The last move(): (moved genes, genes it started from, VMs changed).
+        self._moved: Optional[Tuple[Tuple[int, ...], Sequence[int], List[int]]] = None
 
     def _empty_record(self) -> None:
-        """Start the record with no VM placed, and an empty watts memo."""
+        """Start the record with no VM placed, the watts memo and the slot table."""
         # Watts (less the idle draw when idle hosts are powered) by MIPS load,
         # one memo per host class, reached by host.
         memos: Dict[int, Dict[float, float]] = {}
         self._watts = [memos.setdefault(c, {}) for c in self.host_class]
         cells = self.host_count * self.nseg
+        # One slot per (VM, segment) pair, in that order: VM i's slot in
+        # segment s is _first_slot[i] + s.
+        self._first_slot = []
+        slots = 0
+        for a, b in self.spans:
+            self._first_slot.append(slots - a)
+            slots += b - a
         # Each cell's VMs are a tuple, replaced when they change, so copies
         # of the record share the cells they have in common.
         self._vms_at: List[Tuple[int, ...]] = [()] * cells
@@ -304,13 +314,17 @@ class EnergyEvaluator:
         self._mips_load = [0.0] * cells
         self._bad: Set[int] = set()
         # _term[k] is cell k's joules at its current load, unless k is in
-        # _stale (its load changed since the last energy). _lead maps each
-        # occupied cell to its sort key, lowest VM * cells + cell: a pass over
-        # the genes in index order first touches the cells in that order,
-        # which is (lowest VM, segment).
-        self._term = [0.0] * cells
+        # _stale (its load changed since the last energy). A pass over the
+        # genes in index order first touches the occupied cells in (lowest
+        # VM, segment) order, so _order holds at each (VM, segment) slot the
+        # cell that VM is the lowest of in that segment, and _slot[k] is
+        # cell k's slot, -1 when it is empty. A slot that names no cell holds
+        # ``cells``, whose term is a trailing 0.0: adding +0.0 leaves a sum
+        # that starts at idle_base >= 0 bit-identical.
+        self._term = [0.0] * (cells + 1)
         self._stale: Set[int] = set()
-        self._lead: Dict[int, int] = {}
+        self._order = [cells] * slots
+        self._slot = [-1] * cells
         self._shared = None
 
     def try_energy(self, genes: Tuple[int, ...], cache: bool = True) -> Optional[float]:
@@ -347,8 +361,6 @@ class EnergyEvaluator:
         records = self._records
         if len(records) >= self._RECORD_LIMIT:
             records.clear()
-        # A compact copy: inserts may have grown the table well past its use.
-        self._lead = dict(self._lead)
         records[genes] = self._shared = _Record(
             genes,
             self._vms_at,
@@ -357,7 +369,8 @@ class EnergyEvaluator:
             self._bad,
             self._term,
             self._stale,
-            self._lead,
+            self._order,
+            self._slot,
         )
 
     def keep_records(self, keep: Sequence[Tuple[int, ...]]) -> None:
@@ -376,7 +389,7 @@ class EnergyEvaluator:
     def _violation(self, genes) -> Optional[Tuple[int, int]]:
         """Earliest violation of ``genes``; afterwards the record holds their loads."""
         key = genes if type(genes) is tuple else tuple(genes)
-        if key != self._last_genes:
+        if key is not self._last_genes and key != self._last_genes:
             self._compute(key)
         return self._last_violation
 
@@ -385,17 +398,24 @@ class EnergyEvaluator:
         (segment_index, host_index) whose capacity is exceeded.
 
         The pass starts from the kept record of :attr:`parent` if there is
-        one, else from the current record. Only the cells whose VM set changes
+        one, else from the current record. When ``genes`` is the vector the
+        last :meth:`move` returned and the pass starts from the record of the
+        vector that move started from, only the moved VMs are visited;
+        otherwise every gene is compared. Only the cells whose VM set changes
         are recounted, each from its VMs in ascending index order with
         left-to-right addition, never by adding and subtracting the moved VMs:
         the loads stay exactly those of a count from scratch, including at an
-        exact capacity fill. A gene that is not a host index raises ValueError
-        and leaves the current and every kept record as they were.
+        exact capacity fill. The first-touch order of the occupied cells is
+        kept by the same pass: only a recounted cell whose lowest VM changed
+        moves to another slot. A gene that is not a host index raises
+        ValueError and leaves the current and every kept record as they were.
         """
         base = None
         if self.parent is not None:
             base = self._records.get(self.parent)
             self.parent = None
+        moved = self._moved
+        self._moved = None
         n = len(self.spans)
         if len(genes) != n:
             raise ValueError(f"{len(genes)} genes for {n} VMs")
@@ -404,6 +424,8 @@ class EnergyEvaluator:
             # The first pass moves every VM from the empty record (host -1).
             old = (-1,) * n
             changed: Sequence[int] = range(n)
+        elif moved is not None and moved[0] is genes and moved[1] is old:
+            changed = moved[2]
         else:
             changed = list(compress(range(n), map(ne, old, genes)))
         m = self.host_count
@@ -422,7 +444,8 @@ class EnergyEvaluator:
             self._bad = set(base.bad)
             self._term = base.term[:]
             self._stale = set(base.stale)
-            self._lead = dict(base.lead)
+            self._order = base.order[:]
+            self._slot = base.slot[:]
             self._shared = None
         vms_at = self._vms_at
         cell_runs = self.cell_runs
@@ -449,9 +472,11 @@ class EnergyEvaluator:
         pe_l = self._pe_load
         mips_l = self._mips_load
         bad = self._bad
-        lead = self._lead
         stale = self._stale
-        cells = len(pe_l)
+        first_slot = self._first_slot
+        order = self._order
+        slot_of = self._slot
+        empty = len(pe_l)
         for k in dirty:
             h = k % m
             vms = vms_at[k]
@@ -468,14 +493,16 @@ class EnergyEvaluator:
                 bad.add(k)
             else:
                 bad.discard(k)
-            if vms:
-                key = vms[0] * cells + k
-                # Store only a new key: an equal one stays shared with the
-                # record this pass started from.
-                if lead.get(k) != key:
-                    lead[k] = key
-            else:
-                del lead[k]
+            slot = first_slot[vms[0]] + k // m if vms else -1
+            was = slot_of[k]
+            if slot != was:
+                # Another dirty cell may already have taken the old slot: its
+                # VM moved there within the same segment.
+                if was >= 0 and order[was] == k:
+                    order[was] = empty
+                if slot >= 0:
+                    order[slot] = k
+                slot_of[k] = slot
         self._last_genes = genes
         self._last_violation = divmod(min(bad), m) if bad else None
         return self._last_violation
@@ -483,9 +510,10 @@ class EnergyEvaluator:
     def _energy(self) -> float:
         """Total joules of the current record, which must be feasible. Only
         the cells whose load changed since their terms were set get new ones,
-        from the watts memo or the power curve; the terms are summed in
-        first-touch order. Refreshing terms in place is safe on a kept record,
-        because they stay those of its own genes."""
+        from the watts memo or the power curve; the terms are summed in the
+        first-touch order the pass keeps, so no call sorts. Refreshing terms
+        in place is safe on a kept record, because they stay those of its own
+        genes."""
         m = self.host_count
         pe_l = self._pe_load
         mips_l = self._mips_load
@@ -512,10 +540,31 @@ class EnergyEvaluator:
                 term[k] = w * seg_len[s]
         self._stale.clear()
         total = self.idle_base
-        lead = self._lead
-        for k in sorted(lead, key=lead.__getitem__):
+        for k in self._order:
             total += term[k]
         return total
+
+    def move(self, genes: Tuple[int, ...], vms: Iterable[int], host: int) -> Tuple[int, ...]:
+        """``genes`` with every VM in ``vms`` on ``host``, as a tuple.
+
+        Runs no load pass. The next pass, if it is of exactly the returned
+        tuple and starts from the record of ``genes``, visits only the VMs
+        that moved instead of comparing every gene; any other pass ignores
+        the hint. So a search that changes one gene or one host's VMs pays
+        for what it changed.
+        """
+        n = len(self.spans)
+        trial = list(genes)
+        changed = []
+        for i in vms:
+            if not 0 <= i < n:
+                raise IndexError(f"VM index {i!r} outside 0..{n - 1}")
+            if trial[i] != host:
+                trial[i] = host
+                changed.append(i)
+        moved = tuple(trial)
+        self._moved = (moved, genes, changed)
+        return moved
 
     def first_violation(self, genes) -> Optional[Tuple[int, int]]:
         """Earliest (segment_index, host_index) where capacity is exceeded."""
@@ -583,9 +632,10 @@ class EnergyEvaluator:
         m = self.host_count
         mips_l = self._mips_load
         seg_total = [0.0] * nseg
-        lead = self._lead
-        for k in sorted(lead, key=lead.__getitem__):
-            seg_total[k // m] += mips_l[k]
+        empty = len(mips_l)
+        for k in self._order:
+            if k != empty:
+                seg_total[k // m] += mips_l[k]
         peak = max(range(nseg), key=lambda s: (seg_total[s], -s))
         total = 0.0
         base = peak * m

@@ -180,10 +180,7 @@ def move_host(c: Genes, prob: float, ev: EnergyEvaluator, rng: random.Random) ->
             target += 1
         moved = ev.host_vms(h, genes)
         if moved and ev.fits_all(moved, target, genes):
-            trial = list(genes)
-            for i in moved:
-                trial[i] = target
-            genes = tuple(trial)
+            genes = ev.move(genes, moved, target)
     return genes
 
 
@@ -203,16 +200,16 @@ def repair(c: Sequence[int], ev: EnergyEvaluator, rng: random.Random) -> Genes:
     Raises UnrepairableError once the move budget is spent, which in practice
     only happens when demand genuinely exceeds fleet capacity.
     """
-    viol = ev.first_violation(c)
+    genes = tuple(c)
+    viol = ev.first_violation(genes)
     if viol is None:
-        return tuple(c)
-    genes = list(c)
+        return genes
     n = len(genes)
     m = len(ev.instance.hosts)
     stall = max(50, 5 * n)
     limit = max(400, 40 * n)
     moves = 0
-    seen = {tuple(genes)}
+    seen = {genes}
     while viol is not None:
         seg, host = viol
         contributors = ev.host_vms(host, genes, seg)
@@ -220,15 +217,14 @@ def repair(c: Sequence[int], ev: EnergyEvaluator, rng: random.Random) -> Genes:
         placed = False
         for h2 in range(m):
             if h2 != host and ev.fits(vm, h2, genes):
-                candidate = genes[:]
-                candidate[vm] = h2
-                if tuple(candidate) not in seen:
-                    genes[vm] = h2
+                candidate = ev.move(genes, (vm,), h2)
+                if candidate not in seen:
+                    genes = candidate
                     placed = True
                     break
         if not placed:
-            genes[vm] = rng.randrange(m)
-        seen.add(tuple(genes))
+            genes = ev.move(genes, (vm,), rng.randrange(m))
+        seen.add(genes)
         moves += 1
         if moves > limit:
             raise UnrepairableError(
@@ -373,8 +369,15 @@ def gapa_schedule(
     if not instance.vms:
         raise ValueError("gapa_schedule: empty instance")
     t_begin = time.perf_counter()
+    if _evaluator is None:
+        ev = EnergyEvaluator(instance, idle_hosts_powered)
+    elif _evaluator.idle != idle_hosts_powered or (
+        _evaluator.instance is not instance and _evaluator.instance != instance
+    ):
+        raise ValueError("gapa_schedule: _evaluator was built for another instance or idle setting")
+    else:
+        ev = _evaluator
     rng = random.Random(config.seed)
-    ev = _evaluator or EnergyEvaluator(instance, idle_hosts_powered)
     eval_start = ev.evaluations
     n = len(instance.vms)
     m = len(instance.hosts)

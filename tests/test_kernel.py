@@ -446,3 +446,144 @@ class TestKeptRecords:
             genes = tuple(code // 3**i % 3 for i in range(6))
             ev.feasible(genes)
             assert len(ev._records) <= ev._RECORD_LIMIT
+
+
+def _current_record(ev):
+    """The load fields of ``ev``'s current record, as ``_own_record`` gives them."""
+    return (ev._vms_at, ev._pe_load, ev._mips_load, ev._bad, ev._order, ev._slot)
+
+
+def _fresh_record(inst, genes, idle):
+    ev = EnergyEvaluator(inst, idle)
+    ev.first_violation(genes)
+    return _current_record(ev)
+
+
+class TestMoves:
+    """Vectors made by ``EnergyEvaluator.move``, whose passes visit only the
+    moved VMs, against fresh evaluators and the reference path."""
+
+    def _score(self, ev, genes, mode):
+        if mode == "energy":
+            return ev.try_energy(genes)
+        return ev.snapshot_power(genes) if ev.feasible(genes) else None
+
+    def _next(self, ev, rng, genes, pool, m):
+        """The next vector of a walk: mostly moves, chained or not, sometimes
+        another vector, with or without a parent hint."""
+        n = len(genes)
+        kind = rng.randrange(6)
+        if kind == 0:
+            return ev.move(genes, (rng.randrange(n),), rng.randrange(m))
+        if kind == 1:
+            src, dst = rng.sample(range(m), 2)
+            return ev.move(genes, ev.host_vms(src, genes), dst)
+        if kind == 2:
+            # Repeats and VMs already on the target move nothing.
+            vms = [rng.randrange(n) for _ in range(rng.randrange(4))]
+            return ev.move(genes, vms, rng.randrange(m))
+        if kind == 3:
+            # Two moves before any pass: the second starts from a vector
+            # whose record was never made.
+            first = ev.move(genes, (rng.randrange(n),), rng.randrange(m))
+            return ev.move(first, (rng.randrange(n),), rng.randrange(m))
+        if kind == 4:
+            ev.parent = rng.choice(pool)
+            return ev.move(ev.parent, (rng.randrange(n),), rng.randrange(m))
+        ev.move(genes, (rng.randrange(n),), rng.randrange(m))  # a move not taken
+        return rng.choice(pool)
+
+    def test_chained_moves_match_fresh_evaluators_and_the_reference(self):
+        rng = random.Random(41)
+        instances = [_exact_fill_instance(), _spanning_instance()]
+        instances += [_fractional_instance(seed) for seed in range(4)]
+        instances += [mixed_class_instance(seed, 8, 5, 3) for seed in range(3)]
+        feasible = steps = 0
+        for inst in instances:
+            m = len(inst.hosts)
+            for idle in (False, True):
+                for mode in ("energy", "snapshot"):
+                    ev = EnergyEvaluator(inst, idle_hosts_powered=idle)
+                    pool = [tuple(rng.randrange(m) for _ in inst.vms) for _ in range(3)]
+                    for genes in pool:
+                        self._score(ev, genes, mode)
+                    genes = pool[0]
+                    for _ in range(40):
+                        genes = self._next(ev, rng, genes, pool, m)
+                        expected = _expected_violation(inst, genes)
+                        got = self._score(ev, genes, mode)
+                        assert got == self._score(EnergyEvaluator(inst, idle), genes, mode)
+                        assert ev.first_violation(genes) == expected
+                        # A vector the memo holds needs no pass; host_vms reads
+                        # the record, so it makes the record of ``genes``.
+                        ev.host_vms(0, genes)
+                        assert _current_record(ev) == _fresh_record(inst, genes, idle)
+                        if expected is None:
+                            feasible += 1
+                            if mode == "energy":
+                                assert got == _first_touch_energy(inst, genes, idle)
+                                report = integrate_energy(placement_from_genes(genes, inst), inst, idle)
+                                assert got == pytest.approx(report.total_joules, rel=1e-12)
+                        else:
+                            assert got is None
+                        steps += 1
+                        pool.append(genes)
+        assert feasible > steps // 4 and feasible < steps
+
+    @pytest.mark.parametrize("src, dst", [(0, 2), (2, 0), (1, 2), (2, 1)])
+    def test_lowest_vm_moving_within_its_segment(self, src, dst):
+        # VM 0 is the lowest VM of its cell in every segment it spans. Moving
+        # it to another host makes it the lowest there too; moving it there
+        # and back recounts the source and target cells in both orders.
+        inst = _spanning_instance()
+        for rest in (src, dst, 3 - src - dst):
+            genes = (src,) + (rest,) * 5
+            for idle in (False, True):
+                ev = EnergyEvaluator(inst, idle)
+                ev.try_energy(genes)
+                moved = ev.move(genes, (0,), dst)
+                energy = ev.try_energy(moved)
+                assert energy == EnergyEvaluator(inst, idle).try_energy(moved)
+                if _expected_violation(inst, moved) is None:
+                    assert energy == _first_touch_energy(inst, moved, idle)
+                assert _current_record(ev) == _fresh_record(inst, moved, idle)
+                back = ev.move(moved, (0,), src)
+                assert back == genes
+                assert ev.snapshot_power(back) == EnergyEvaluator(inst, idle).snapshot_power(back)
+                assert _current_record(ev) == _fresh_record(inst, genes, idle)
+
+    def test_move_runs_no_pass(self, monkeypatch):
+        inst = _spanning_instance()
+        ev = EnergyEvaluator(inst)
+        genes = (0, 1, 0, 1, 2, 2)
+        known = (0, 1, 0, 1, 2, 0)
+        energy = ev.try_energy(known)
+        assert energy is not None
+        ev.try_energy(genes)
+        passes = []
+        kernel = EnergyEvaluator._compute
+        monkeypatch.setattr(EnergyEvaluator, "_compute", lambda self, g: passes.append(g) or kernel(self, g))
+        moved = ev.move(genes, (5,), 0)
+        assert moved == known and passes == []
+        # The memo already holds the moved vector: no pass scores it.
+        assert ev.try_energy(moved) == energy
+        assert ev.first_violation(moved) is None
+        assert passes == []
+        again = ev.move(genes, ev.host_vms(2, genes), 1)
+        assert passes == [] and again == (0, 1, 0, 1, 1, 1)
+        ev.first_violation(again)
+        assert passes == [again]
+
+    def test_move_rejects_a_vm_index_and_a_pass_rejects_the_host(self):
+        inst = _spanning_instance()
+        ev = EnergyEvaluator(inst)
+        genes = (0, 1, 0, 1, 2, 2)
+        ev.try_energy(genes)
+        with pytest.raises(IndexError):
+            ev.move(genes, (6,), 0)
+        with pytest.raises(IndexError):
+            ev.move(genes, (-1,), 0)
+        for host in (-1, 3):
+            with pytest.raises(ValueError):
+                ev.first_violation(ev.move(genes, (1,), host))
+            assert _current_record(ev) == _fresh_record(inst, genes, False)

@@ -17,7 +17,13 @@ from vmplace import (
 )
 from vmplace.model import MIPS_EPS
 
-from conftest import dell_host, ibm_host, mixed_class_instance, random_small_instance
+from conftest import (
+    dell_host,
+    ibm_host,
+    mixed_class_instance,
+    random_small_instance,
+    worked_example_instance,
+)
 
 
 def _plain_bfd(instance, idle):
@@ -262,6 +268,33 @@ class TestGapa:
         config = GaConfig(population_size=6, generations=60, seed=3)
         gapa_schedule(inst, config)
         assert config.population_size < max(alive) <= 2 * config.population_size + 1
+
+    @pytest.mark.parametrize("mode, passes", [("energy", 335), ("snapshot_power", 837)])
+    def test_load_passes_on_the_worked_example(self, mode, passes, monkeypatch):
+        # Recorded before repair and move_host built their vectors with
+        # EnergyEvaluator.move: a move must not add a pass of its own.
+        counted = []
+        kernel = EnergyEvaluator._compute
+        monkeypatch.setattr(
+            EnergyEvaluator, "_compute", lambda ev, genes: counted.append(1) or kernel(ev, genes)
+        )
+        config = GaConfig(generations=100, seed=3, fitness_mode=mode)
+        gapa_schedule(worked_example_instance(), config)
+        assert len(counted) == passes
+
+    @pytest.mark.parametrize("other", ["instance", "idle"])
+    def test_evaluator_of_another_problem_is_rejected(self, other):
+        inst = random_small_instance(4)
+        if other == "instance":
+            ev = EnergyEvaluator(random_small_instance(5))
+        else:
+            ev = EnergyEvaluator(inst, idle_hosts_powered=True)
+        with pytest.raises(ValueError, match="_evaluator"):
+            gapa_schedule(inst, GaConfig(generations=5, seed=1), _evaluator=ev)
+        # An equal instance built anew scores alike, so its evaluator serves.
+        twin = EnergyEvaluator(random_small_instance(4))
+        got = gapa_schedule(inst, GaConfig(generations=5, seed=1), _evaluator=twin)
+        assert got.placement == gapa_schedule(inst, GaConfig(generations=5, seed=1)).placement
 
     def test_stats_record_run_parameters(self):
         inst = random_small_instance(4)
