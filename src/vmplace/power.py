@@ -197,14 +197,17 @@ class EnergyEvaluator:
     on the same instance.
 
     A load record holds, for one gene vector, each (host, segment) cell's VMs
-    in ascending index order, its PE and MIPS load, the set of violating cells
-    and a cached energy term per cell. :meth:`_compute` makes the record of
-    the requested genes by moving a record it already has and recounting only
-    the cells whose VM set changed, from their VMs in index order, so every
-    load equals a count from scratch bit for bit; the first pass is a move
-    from the empty record. A pass starts from the record of :attr:`parent`
-    when that is set and kept (and clears it), otherwise from the record of
-    the previous pass. :meth:`first_violation`, :meth:`fits`,
+    in ascending index order, its PE and MIPS load, the set of violating cells,
+    a cached energy term per cell and the order in which a count from scratch
+    first touches the occupied cells, which is the order energy terms are
+    summed in. :meth:`_compute` makes the record of the requested genes by
+    moving a record it already has and recounting only the cells whose VM set
+    changed, from their VMs in index order, so every load equals a count from
+    scratch bit for bit; the first pass is a move from the empty record. A
+    pass starts from the record of :attr:`parent` when that is set and kept
+    (and clears it), otherwise from the record of the previous pass. A search
+    that builds a vector with :meth:`move` names the VMs it moved, so the
+    pass of that vector visits only them. :meth:`first_violation`, :meth:`fits`,
     :meth:`fits_all`, :meth:`host_vms`, :meth:`try_energy` and
     :meth:`snapshot_power` read the current record, making it first when
     asked about other genes. Only :meth:`try_energy` and

@@ -359,7 +359,9 @@ def gapa_schedule(
     populations' records are alive, and none when the run returns. Runs that
     share one ``_evaluator`` share its memo of scores: their results are
     those of fresh evaluators, but ``stats["evaluations"]`` counts only the
-    vectors no earlier run scored.
+    vectors no earlier run scored. An ``_evaluator`` built for another
+    instance or another ``idle_hosts_powered`` raises ValueError, since the
+    search would follow its scores while the report uses the arguments.
 
     The host move lets the search empty a whole host in one step. Moving VMs
     one at a time often raises energy first, because a host draws its idle

@@ -26,7 +26,7 @@ from vmplace import (
     repair,
 )
 from vmplace.model import MIPS_EPS
-from vmplace.power import ordered_sum
+from vmplace.power import _Record, ordered_sum
 
 from conftest import dell_host, ibm_host, mixed_class_instance, random_small_instance
 
@@ -450,13 +450,10 @@ class TestKeptRecords:
 
 def _current_record(ev):
     """The load fields of ``ev``'s current record, as ``_own_record`` gives them."""
-    return (ev._vms_at, ev._pe_load, ev._mips_load, ev._bad, ev._order, ev._slot)
-
-
-def _fresh_record(inst, genes, idle):
-    ev = EnergyEvaluator(inst, idle)
-    ev.first_violation(genes)
-    return _current_record(ev)
+    return _Record(
+        ev._last_genes, ev._vms_at, ev._pe_load, ev._mips_load, ev._bad,
+        None, None, ev._order, ev._slot,
+    )
 
 
 class TestMoves:
@@ -517,7 +514,7 @@ class TestMoves:
                         # A vector the memo holds needs no pass; host_vms reads
                         # the record, so it makes the record of ``genes``.
                         ev.host_vms(0, genes)
-                        assert _current_record(ev) == _fresh_record(inst, genes, idle)
+                        assert _current_record(ev) == _own_record(inst, genes, idle)
                         if expected is None:
                             feasible += 1
                             if mode == "energy":
@@ -546,11 +543,11 @@ class TestMoves:
                 assert energy == EnergyEvaluator(inst, idle).try_energy(moved)
                 if _expected_violation(inst, moved) is None:
                     assert energy == _first_touch_energy(inst, moved, idle)
-                assert _current_record(ev) == _fresh_record(inst, moved, idle)
+                assert _current_record(ev) == _own_record(inst, moved, idle)
                 back = ev.move(moved, (0,), src)
                 assert back == genes
                 assert ev.snapshot_power(back) == EnergyEvaluator(inst, idle).snapshot_power(back)
-                assert _current_record(ev) == _fresh_record(inst, genes, idle)
+                assert _current_record(ev) == _own_record(inst, genes, idle)
 
     def test_move_runs_no_pass(self, monkeypatch):
         inst = _spanning_instance()
@@ -586,4 +583,4 @@ class TestMoves:
         for host in (-1, 3):
             with pytest.raises(ValueError):
                 ev.first_violation(ev.move(genes, (1,), host))
-            assert _current_record(ev) == _fresh_record(inst, genes, False)
+            assert _current_record(ev) == _own_record(inst, genes, False)
