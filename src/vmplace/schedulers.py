@@ -371,15 +371,10 @@ def gapa_schedule(
     if not instance.vms:
         raise ValueError("gapa_schedule: empty instance")
     t_begin = time.perf_counter()
-    if _evaluator is None:
-        ev = EnergyEvaluator(instance, idle_hosts_powered)
-    elif _evaluator.idle != idle_hosts_powered or (
-        _evaluator.instance is not instance and _evaluator.instance != instance
-    ):
-        raise ValueError("gapa_schedule: _evaluator was built for another instance or idle setting")
-    else:
-        ev = _evaluator
     rng = random.Random(config.seed)
+    ev = _evaluator or EnergyEvaluator(instance, idle_hosts_powered)
+    if ev.idle != idle_hosts_powered or ev.instance != instance:
+        raise ValueError("gapa_schedule: _evaluator was built for another instance or idle setting")
     eval_start = ev.evaluations
     n = len(instance.vms)
     m = len(instance.hosts)
