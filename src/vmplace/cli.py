@@ -287,6 +287,8 @@ def write_placement(placement: Placement, sink) -> None:
 
 
 def read_placement(source) -> Placement:
+    """Parse ``vm_id,host_id`` lines. A malformed line, or a VM placed a
+    second time, raises ParseError with its line number."""
     text = source.read() if hasattr(source, "read") else source
     placement: Placement = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -295,9 +297,12 @@ def read_placement(source) -> Placement:
             continue
         try:
             vm_id, host_id = line.rsplit(",", 1)
-            placement[vm_id] = int(host_id)
+            host = int(host_id)
         except ValueError as exc:
             raise ParseError(lineno, f"expected 'vm_id,host_id', got {line!r}") from exc
+        if vm_id in placement:
+            raise ParseError(lineno, f"VM {vm_id!r} is placed a second time")
+        placement[vm_id] = host
     return placement
 
 

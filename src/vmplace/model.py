@@ -12,6 +12,7 @@ All types are immutable values; the operations here are pure functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Tuple
@@ -45,8 +46,9 @@ class VmRequest:
     def __post_init__(self):
         if self.pe_count < 1:
             raise ValueError(f"vm {self.id!r}: pe_count must be >= 1")
-        if self.mips_per_pe <= 0:
-            raise ValueError(f"vm {self.id!r}: mips_per_pe must be > 0")
+        # NaN fails both comparisons.
+        if not 0 < self.mips_per_pe < math.inf:
+            raise ValueError(f"vm {self.id!r}: mips_per_pe must be finite and > 0, got {self.mips_per_pe}")
         if self.start_time < 0:
             raise ValueError(f"vm {self.id!r}: start_time must be >= 0")
         if self.duration <= 0:
@@ -89,8 +91,8 @@ class HostSpec:
     def __post_init__(self):
         if self.pe_count < 1:
             raise ValueError(f"host {self.id}: pe_count must be >= 1")
-        if self.mips_per_pe <= 0:
-            raise ValueError(f"host {self.id}: mips_per_pe must be > 0")
+        if not 0 < self.mips_per_pe < math.inf:
+            raise ValueError(f"host {self.id}: mips_per_pe must be finite and > 0, got {self.mips_per_pe}")
 
     @property
     def total_mips(self) -> float:

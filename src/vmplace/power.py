@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from operator import ne
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import InfeasiblePlacementError
 from .model import (
@@ -175,10 +175,27 @@ _MISS = object()
 _FEASIBLE = object()
 
 
-class _Record(NamedTuple):
-    """The load record of one gene vector, as :class:`EnergyEvaluator` keeps it."""
+@dataclass(slots=True)
+class _Record:
+    """The load record of one gene vector, as :class:`EnergyEvaluator` keeps it.
 
-    genes: Tuple[int, ...]
+    Cell k is (segment k // host_count, host k % host_count). ``vms_at[k]``
+    is the tuple of the cell's VMs, replaced when they change, so copies of
+    a record share the cells they have in common. ``pe_load`` and
+    ``mips_load`` are each cell's load, ``bad`` the cells over capacity and
+    ``violation`` the earliest of them as (segment, host), None if there is
+    none. ``term[k]`` is cell k's joules at its current load, unless k is in
+    ``stale`` (its load changed since the last energy). A pass over the genes
+    in index order first touches the occupied cells in (lowest VM, segment)
+    order, so ``order`` holds at each (VM, segment) slot the cell that VM is
+    the lowest of in that segment, and ``slot[k]`` is cell k's slot, -1 when
+    it is empty. A slot that names no cell holds the cell count, whose term
+    is a trailing 0.0: adding +0.0 leaves a sum that starts at idle_base >= 0
+    bit-identical. The empty record's ``genes`` is None.
+    """
+
+    genes: Optional[Tuple[int, ...]]
+    violation: Optional[Tuple[int, int]]
     vms_at: List[Tuple[int, ...]]
     pe_load: List[int]
     mips_load: List[float]
@@ -188,35 +205,44 @@ class _Record(NamedTuple):
     order: List[int]
     slot: List[int]
 
+    def copy(self) -> _Record:
+        """A record equal to this one that shares no mutable container with it."""
+        return _Record(
+            self.genes, self.violation, self.vms_at[:], self.pe_load[:], self.mips_load[:],
+            set(self.bad), self.term[:], set(self.stale), self.order[:], self.slot[:],
+        )
+
 
 class EnergyEvaluator:
     """Precomputed fast scorer for many candidate placements of one instance.
 
     Works on gene vectors (host index per VM, in ``instance.vms`` order); this
-    is the hot path of the search algorithms and is safe to share between runs
-    on the same instance.
+    is the hot path of the search algorithms. Each search builds its own
+    evaluator, so its memo, kept records and evaluation count belong to that
+    search alone.
 
-    A load record holds, for one gene vector, each (host, segment) cell's VMs
-    in ascending index order, its PE and MIPS load, the set of violating cells,
-    a cached energy term per cell and the order in which a count from scratch
-    first touches the occupied cells, which is the order energy terms are
-    summed in. :meth:`_compute` makes the record of the requested genes by
-    moving a record it already has and recounting only the cells whose VM set
-    changed, from their VMs in index order, so every load equals a count from
-    scratch bit for bit; the first pass is a move from the empty record. A
-    pass starts from the record of :attr:`parent` when that is set and kept
-    (and clears it), otherwise from the record of the previous pass. A search
-    that builds a vector with :meth:`move` names the VMs it moved, so the
-    pass of that vector visits only them. :meth:`first_violation`, :meth:`fits`,
-    :meth:`fits_all`, :meth:`host_vms`, :meth:`try_energy` and
-    :meth:`snapshot_power` read the current record, making it first when
-    asked about other genes. Only :meth:`try_energy` and
-    :meth:`snapshot_power` turn loads into watts.
+    A load record (:class:`_Record`) holds, for one gene vector, each (host,
+    segment) cell's VMs in ascending index order, its PE and MIPS load, the
+    violating cells, a cached energy term per cell and the order in which a
+    count from scratch first touches the occupied cells, which is the order
+    energy terms are summed in. :meth:`_compute` makes the record of the
+    requested genes current by moving a record it already has and
+    recounting only the cells whose VM set changed, from their VMs in index
+    order, so every load equals a count from scratch bit for bit; the first
+    pass is a move from the empty record. A pass starts from the record of
+    :attr:`parent` when that is set and kept (and clears it), otherwise from
+    the current record. A search that builds a vector with :meth:`move`
+    names the VMs it moved, so the pass of that vector visits only them.
+    :meth:`first_violation`, :meth:`fits`, :meth:`fits_all`,
+    :meth:`host_vms`, :meth:`try_energy` and :meth:`snapshot_power` read the
+    current record, making it first when asked about other genes. Only
+    :meth:`try_energy` and :meth:`snapshot_power` turn loads into watts.
 
     Results are memoized by gene tuple, but only for the vectors
     :meth:`try_energy` or :meth:`feasible` is asked about; a vector memoized
     as feasible needs no pass in :meth:`first_violation` either. Those calls
-    also keep the vector's record, copy-on-write, so a later pass never
+    also keep the vector's record: the current record is kept by reference,
+    and the next pass copies it before changing it, so a later pass never
     changes a kept record. :meth:`keep_records` drops the ones a caller no
     longer names as parents; at most ``_RECORD_LIMIT`` are kept in any case.
     """
@@ -225,18 +251,16 @@ class EnergyEvaluator:
     # 30, an instance dict stops sharing its keys and every read slows down.
     # A "__dict__" slot would slow method calls again, so there is none.
     __slots__ = (
-        "instance", "idle", "nseg", "seg_len", "host_count", "spans", "cell_runs",
-        "pe", "eff", "host_pe", "host_mips", "mips_cap", "tables", "host_class",
-        "_watts", "_first_slot", "idle_base", "evaluations", "_cache", "_last_genes",
-        "_last_violation", "_records", "_shared", "parent", "_moved", "_vms_at",
-        "_pe_load", "_mips_load", "_bad", "_term", "_stale", "_order", "_slot",
+        "idle", "nseg", "seg_len", "host_count", "spans", "cell_runs", "pe", "eff",
+        "host_pe", "host_mips", "mips_cap", "tables", "host_class", "_watts",
+        "_first_slot", "idle_base", "evaluations", "_cache", "_rec", "_kept",
+        "_records", "parent", "_moved",
     )
 
     _CACHE_LIMIT = 150_000
     _RECORD_LIMIT = 64
 
     def __init__(self, instance: ProblemInstance, idle_hosts_powered: bool = False):
-        self.instance = instance
         self.idle = idle_hosts_powered
         segs = instance.segments
         self.nseg = len(segs)
@@ -281,23 +305,23 @@ class EnergyEvaluator:
         )
         self.evaluations = 0
         self._cache: Dict[Tuple[int, ...], Optional[float]] = {}
-        # The record of the last pass, None until a pass succeeds; the first
-        # pass builds it empty, and the watts memo, so an evaluator used only
-        # for its tables (as BFD uses it) never pays for them.
-        self._last_genes: Optional[Tuple[int, ...]] = None
-        self._last_violation: Optional[Tuple[int, int]] = None
-        # Kept records by genes, and the kept record the current one is, if
-        # any (then the next pass copies it before changing it).
+        # The current record, None until a pass succeeds; the first pass
+        # builds it empty, and the watts memo, so an evaluator used only for
+        # its tables (as BFD uses it) never pays for them. While _kept is
+        # set, the current record is also a kept one, so the next pass copies
+        # it before changing it.
+        self._rec: Optional[_Record] = None
+        self._kept = False
+        # Kept records by genes.
         self._records: Dict[Tuple[int, ...], _Record] = {}
-        self._shared: Optional[_Record] = None
         #: Genes of a kept record that the next load pass should start from;
         #: a search sets it to a child's parent. Only a pass reads it.
         self.parent: Optional[Tuple[int, ...]] = None
         # The last move(): (moved genes, genes it started from, VMs changed).
         self._moved: Optional[Tuple[Tuple[int, ...], Sequence[int], List[int]]] = None
 
-    def _empty_record(self) -> None:
-        """Start the record with no VM placed, the watts memo and the slot table."""
+    def _empty_record(self) -> _Record:
+        """The record with no VM placed; also builds the watts memo and the slot table."""
         # Watts (less the idle draw when idle hosts are powered) by MIPS load,
         # one memo per host class, reached by host.
         memos: Dict[int, Dict[float, float]] = {}
@@ -310,25 +334,10 @@ class EnergyEvaluator:
         for a, b in self.spans:
             self._first_slot.append(slots - a)
             slots += b - a
-        # Each cell's VMs are a tuple, replaced when they change, so copies
-        # of the record share the cells they have in common.
-        self._vms_at: List[Tuple[int, ...]] = [()] * cells
-        self._pe_load = [0] * cells
-        self._mips_load = [0.0] * cells
-        self._bad: Set[int] = set()
-        # _term[k] is cell k's joules at its current load, unless k is in
-        # _stale (its load changed since the last energy). A pass over the
-        # genes in index order first touches the occupied cells in (lowest
-        # VM, segment) order, so _order holds at each (VM, segment) slot the
-        # cell that VM is the lowest of in that segment, and _slot[k] is
-        # cell k's slot, -1 when it is empty. A slot that names no cell holds
-        # ``cells``, whose term is a trailing 0.0: adding +0.0 leaves a sum
-        # that starts at idle_base >= 0 bit-identical.
-        self._term = [0.0] * (cells + 1)
-        self._stale: Set[int] = set()
-        self._order = [cells] * slots
-        self._slot = [-1] * cells
-        self._shared = None
+        return _Record(
+            None, None, [()] * cells, [0] * cells, [0.0] * cells, set(),
+            [0.0] * (cells + 1), set(), [cells] * slots, [-1] * cells,
+        )
 
     def try_energy(self, genes: Tuple[int, ...], cache: bool = True) -> Optional[float]:
         """Total joules of the placement, or None if it violates capacity."""
@@ -364,17 +373,8 @@ class EnergyEvaluator:
         records = self._records
         if len(records) >= self._RECORD_LIMIT:
             records.clear()
-        records[genes] = self._shared = _Record(
-            genes,
-            self._vms_at,
-            self._pe_load,
-            self._mips_load,
-            self._bad,
-            self._term,
-            self._stale,
-            self._order,
-            self._slot,
-        )
+        records[genes] = self._rec
+        self._kept = True
 
     def keep_records(self, keep: Sequence[Tuple[int, ...]]) -> None:
         """Drop the kept records of the vectors not in ``keep``. Nothing is
@@ -392,9 +392,10 @@ class EnergyEvaluator:
     def _violation(self, genes) -> Optional[Tuple[int, int]]:
         """Earliest violation of ``genes``; afterwards the record holds their loads."""
         key = genes if type(genes) is tuple else tuple(genes)
-        if key is not self._last_genes and key != self._last_genes:
-            self._compute(key)
-        return self._last_violation
+        rec = self._rec
+        if rec is not None and (key is rec.genes or key == rec.genes):
+            return rec.violation
+        return self._compute(key)
 
     def _compute(self, genes: Tuple[int, ...]) -> Optional[Tuple[int, int]]:
         """Make the record of ``genes`` current and return the earliest
@@ -413,44 +414,39 @@ class EnergyEvaluator:
         moves to another slot. A gene that is not a host index raises
         ValueError and leaves the current and every kept record as they were.
         """
-        base = None
+        rec, kept = self._rec, self._kept
         if self.parent is not None:
             base = self._records.get(self.parent)
             self.parent = None
+            if base is not None:
+                rec, kept = base, True
         moved = self._moved
         self._moved = None
         n = len(self.spans)
         if len(genes) != n:
             raise ValueError(f"{len(genes)} genes for {n} VMs")
-        old = self._last_genes if base is None else base.genes
-        if old is None:
+        if rec is None:
             # The first pass moves every VM from the empty record (host -1).
-            old = (-1,) * n
+            old: Sequence[int] = (-1,) * n
             changed: Sequence[int] = range(n)
-        elif moved is not None and moved[0] is genes and moved[1] is old:
-            changed = moved[2]
         else:
-            changed = list(compress(range(n), map(ne, old, genes)))
+            old = rec.genes
+            if moved is not None and moved[0] is genes and moved[1] is old:
+                changed = moved[2]
+            else:
+                changed = list(compress(range(n), map(ne, old, genes)))
         m = self.host_count
         for i in changed:
             if not 0 <= genes[i] < m:
                 raise ValueError(f"gene {i}: host index {genes[i]!r} outside 0..{m - 1}")
-        if base is None:
-            if self._last_genes is None:
-                self._empty_record()
-            base = self._shared
-        if base is not None:
+        if rec is None:
+            rec = self._empty_record()
+        elif kept:
             # Copy on write: a kept record is never changed.
-            self._vms_at = base.vms_at[:]
-            self._pe_load = base.pe_load[:]
-            self._mips_load = base.mips_load[:]
-            self._bad = set(base.bad)
-            self._term = base.term[:]
-            self._stale = set(base.stale)
-            self._order = base.order[:]
-            self._slot = base.slot[:]
-            self._shared = None
-        vms_at = self._vms_at
+            rec = rec.copy()
+        self._rec = rec
+        self._kept = False
+        vms_at = rec.vms_at
         cell_runs = self.cell_runs
         dirty: Set[int] = set()
         for i in changed:
@@ -472,13 +468,13 @@ class EnergyEvaluator:
         eff = self.eff
         host_pe = self.host_pe
         mips_cap = self.mips_cap
-        pe_l = self._pe_load
-        mips_l = self._mips_load
-        bad = self._bad
-        stale = self._stale
+        pe_l = rec.pe_load
+        mips_l = rec.mips_load
+        bad = rec.bad
+        stale = rec.stale
         first_slot = self._first_slot
-        order = self._order
-        slot_of = self._slot
+        order = rec.order
+        slot_of = rec.slot
         empty = len(pe_l)
         for k in dirty:
             h = k % m
@@ -506,9 +502,9 @@ class EnergyEvaluator:
                 if slot >= 0:
                     order[slot] = k
                 slot_of[k] = slot
-        self._last_genes = genes
-        self._last_violation = divmod(min(bad), m) if bad else None
-        return self._last_violation
+        rec.genes = genes
+        rec.violation = divmod(min(bad), m) if bad else None
+        return rec.violation
 
     def _energy(self) -> float:
         """Total joules of the current record, which must be feasible. Only
@@ -518,12 +514,14 @@ class EnergyEvaluator:
         in place is safe on a kept record, because they stay those of its own
         genes."""
         m = self.host_count
-        pe_l = self._pe_load
-        mips_l = self._mips_load
+        rec = self._rec
+        pe_l = rec.pe_load
+        mips_l = rec.mips_load
         seg_len = self.seg_len
-        term = self._term
+        term = rec.term
         watts = self._watts
-        for k in self._stale:
+        stale = rec.stale
+        for k in stale:
             if pe_l[k]:
                 s, h = divmod(k, m)
                 x = mips_l[k]
@@ -541,9 +539,9 @@ class EnergyEvaluator:
                         w -= table[0]
                     memo[x] = w
                 term[k] = w * seg_len[s]
-        self._stale.clear()
+        stale.clear()
         total = self.idle_base
-        for k in self._order:
+        for k in rec.order:
             total += term[k]
         return total
 
@@ -581,7 +579,7 @@ class EnergyEvaluator:
         read from the record; only those active in segment ``seg`` when it is
         given."""
         self._violation(genes)  # the record now holds the loads of ``genes``
-        vms_at = self._vms_at
+        vms_at = self._rec.vms_at
         m = self.host_count
         if seg is not None:
             return list(vms_at[seg * m + host_idx])
@@ -615,8 +613,9 @@ class EnergyEvaluator:
                 extra_mips[k] = extra_mips.get(k, 0.0) + e
         pe_cap = self.host_pe[host_idx]
         mips_cap = self.mips_cap[host_idx]
-        pe_l = self._pe_load
-        mips_l = self._mips_load
+        rec = self._rec
+        pe_l = rec.pe_load
+        mips_l = rec.mips_load
         for k, p in extra_pe.items():
             if pe_l[k] + p > pe_cap or mips_l[k] + extra_mips[k] > mips_cap:
                 return False
@@ -633,10 +632,11 @@ class EnergyEvaluator:
             return 0.0
         self._violation(genes)  # the record now holds the loads of ``genes``
         m = self.host_count
-        mips_l = self._mips_load
+        rec = self._rec
+        mips_l = rec.mips_load
         seg_total = [0.0] * nseg
         empty = len(mips_l)
-        for k in self._order:
+        for k in rec.order:
             if k != empty:
                 seg_total[k // m] += mips_l[k]
         peak = max(range(nseg), key=lambda s: (seg_total[s], -s))

@@ -205,7 +205,7 @@ def repair(c: Sequence[int], ev: EnergyEvaluator, rng: random.Random) -> Genes:
     if viol is None:
         return genes
     n = len(genes)
-    m = len(ev.instance.hosts)
+    m = ev.host_count
     stall = max(50, 5 * n)
     limit = max(400, 40 * n)
     moves = 0
@@ -337,7 +337,6 @@ def gapa_schedule(
     instance: ProblemInstance,
     config: GaConfig,
     idle_hosts_powered: bool = False,
-    _evaluator: Optional[EnergyEvaluator] = None,
 ) -> SolveResult:
     """Generational genetic search, deterministic for a given (instance, config).
 
@@ -350,18 +349,13 @@ def gapa_schedule(
     move leaves unchanged is scored from the load pass repair just made;
     elites keep the fitness they had.
 
-    The evaluator keeps the load record of every individual it scores. A
-    child's first load pass starts from its parent's record (``p1``'s for
-    the first crossover child, ``p2``'s for the second), which differs from
-    it in the crossover tail and the mutated genes, not from the record of
-    the child built before it. After each generation the records of
-    individuals that left the population are dropped, so at most two
-    populations' records are alive, and none when the run returns. Runs that
-    share one ``_evaluator`` share its memo of scores: their results are
-    those of fresh evaluators, but ``stats["evaluations"]`` counts only the
-    vectors no earlier run scored. An ``_evaluator`` built for another
-    instance or another ``idle_hosts_powered`` raises ValueError, since the
-    search would follow its scores while the report uses the arguments.
+    Each run builds its own :class:`EnergyEvaluator`, which keeps the load
+    record of every individual it scores. A child's first load pass starts
+    from its parent's record (``p1``'s for the first crossover child,
+    ``p2``'s for the second), which differs from it in the crossover tail and
+    the mutated genes, not from the record of the child built before it.
+    After each generation the records of individuals that left the
+    population are dropped, so at most two populations' records are alive.
 
     The host move lets the search empty a whole host in one step. Moving VMs
     one at a time often raises energy first, because a host draws its idle
@@ -372,10 +366,7 @@ def gapa_schedule(
         raise ValueError("gapa_schedule: empty instance")
     t_begin = time.perf_counter()
     rng = random.Random(config.seed)
-    ev = _evaluator or EnergyEvaluator(instance, idle_hosts_powered)
-    if ev.idle != idle_hosts_powered or ev.instance != instance:
-        raise ValueError("gapa_schedule: _evaluator was built for another instance or idle setting")
-    eval_start = ev.evaluations
+    ev = EnergyEvaluator(instance, idle_hosts_powered)
     n = len(instance.vms)
     m = len(instance.hosts)
 
@@ -422,8 +413,6 @@ def gapa_schedule(
             if f > best_fit:
                 best_genes, best_fit = g, f
 
-    ev.parent = None
-    ev.keep_records(())
     placement = placement_from_genes(best_genes, instance)
     report = integrate_energy(placement, instance, idle_hosts_powered)
     stats = {
@@ -431,7 +420,7 @@ def gapa_schedule(
         "generations_run": config.generations,
         "best_fitness": best_fit,
         "trajectory": trajectory,
-        "evaluations": ev.evaluations - eval_start,
+        "evaluations": ev.evaluations,
         "seed": config.seed,
         "rng": RNG_ALGORITHM,
         "wall_time_s": time.perf_counter() - t_begin,

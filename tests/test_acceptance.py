@@ -92,7 +92,6 @@ def test_acceptance_2_sixteen_vm_worked_example():
     """
     t0 = time.time()
     inst = _worked_example()
-    ev = EnergyEvaluator(inst)
 
     bfd = bfd_schedule(inst)
     bfd_ok = sorted(set(bfd.placement.values())) == [0, 1, 2, 3]
@@ -117,7 +116,7 @@ def test_acceptance_2_sixteen_vm_worked_example():
             mutation_prob=0.01,
             seed=seed,
         )
-        res = gapa_schedule(inst, cfg, _evaluator=ev)
+        res = gapa_schedule(inst, cfg)
         if set(res.placement.values()) == {4}:
             wins += 1
         if res.energy.total_joules < bfd.energy.total_joules:
@@ -160,7 +159,6 @@ def test_acceptance_3_full_workload_grid():
     (100 generations) still wins in under a minute."""
     inst = _lab_instance()
     bfd = bfd_schedule(inst)
-    ev = EnergyEvaluator(inst)
     seeds = (1, 2, 3)
 
     ok = True
@@ -176,7 +174,7 @@ def test_acceptance_3_full_workload_grid():
                     mutation_prob=0.01,
                     seed=seed,
                 )
-                res = gapa_schedule(inst, cfg, _evaluator=ev)
+                res = gapa_schedule(inst, cfg)
                 kwhs.append(res.energy.total_kwh)
                 ok = ok and res.energy.total_kwh < bfd.energy.total_kwh
             mean_ratio = bfd.energy.total_kwh / (sum(kwhs) / len(kwhs))
@@ -187,7 +185,6 @@ def test_acceptance_3_full_workload_grid():
     reduced = gapa_schedule(
         inst,
         GaConfig(population_size=10, generations=100, crossover_prob=0.5, seed=1),
-        _evaluator=ev,
     )
     reduced_time = time.time() - t0
     reduced_ok = reduced.energy.total_kwh < bfd.energy.total_kwh and reduced_time < 60.0

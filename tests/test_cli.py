@@ -313,6 +313,18 @@ class TestMain:
             pytest.param(["solve", "--fleet", "count-negative.json"], EXIT_CONFIG, id="solve-fleet-count-negative"),
             pytest.param(["solve", "--workload", "long-field.csv"], EXIT_CONFIG, id="solve-workload-field-too-long"),
             pytest.param(["solve", "--workload", "dashed-ids.csv"], EXIT_OK, id="solve-dashes-in-class-and-group-ids"),
+            pytest.param(["solve", "--fleet", "mips-nan.json"], EXIT_CONFIG, id="solve-fleet-mips-nan"),
+            pytest.param(["solve", "--fleet", "mips-inf.json"], EXIT_CONFIG, id="solve-fleet-mips-inf"),
+            pytest.param(["solve", "--workload", "five.csv", "--vm-mips", "inf"], EXIT_CONFIG, id="solve-vm-mips-inf"),
+            pytest.param(["solve", "--workload", "five.csv", "--vm-mips", "nan"], EXIT_CONFIG, id="solve-vm-mips-nan"),
+            pytest.param(
+                ["validate", "--workload", "five.csv", "--placement", "five.placement"], EXIT_OK, id="validate-placement"
+            ),
+            pytest.param(
+                ["validate", "--workload", "five.csv", "--placement", "five-twice.placement"],
+                EXIT_CONFIG,
+                id="validate-placement-names-a-vm-twice",
+            ),
         ],
     )
     def test_exit_code_matrix(self, argv, expected, tmp_path, monkeypatch, capsys):
@@ -343,6 +355,12 @@ class TestMain:
             "long-field.csv": FIVE_VM_TIMETABLE + "6,1,C2," + "G" * 131_073 + ",1,123------------,8100\n",
             # Class C-1 with group G and class C with group 1-G.
             "dashed-ids.csv": FIVE_VM_TIMETABLE.replace("C1,G1", "C-1,G") + "6,1,C,1-G,5,123------------,8100\n",
+            # JSON's NaN and Infinity tokens read as floats.
+            "mips-nan.json": json.dumps({"entries": [{"model": "ibm_x3250", "count": 2, "mips_per_pe": float("nan")}]}),
+            "mips-inf.json": json.dumps({"entries": [{"model": "ibm_x3250", "count": 2, "mips_per_pe": float("inf")}]}),
+            "five.placement": "".join(f"C1-G1-00{i},0\n" for i in range(1, 6)),
+            # The later line for C1-G1-001 would hide the first one.
+            "five-twice.placement": "C1-G1-001,99\n" + "".join(f"C1-G1-00{i},0\n" for i in range(1, 6)),
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)

@@ -26,7 +26,7 @@ from vmplace import (
     repair,
 )
 from vmplace.model import MIPS_EPS
-from vmplace.power import _Record, ordered_sum
+from vmplace.power import ordered_sum
 
 from conftest import dell_host, ibm_host, mixed_class_instance, random_small_instance
 
@@ -352,12 +352,20 @@ class TestMovingRecord:
         assert walker.first_violation((0,) * 8 + (1,)) is None
 
 
+def _load_fields(rec):
+    """Every field of a load record but the energy terms, which ``_energy``
+    may refresh in place."""
+    return (
+        rec.genes, rec.violation, rec.vms_at, rec.pe_load, rec.mips_load,
+        rec.bad, rec.order, rec.slot,
+    )
+
+
 def _own_record(inst, genes, idle):
-    """The load fields of a fresh evaluator's record of ``genes``: everything
-    but the energy terms, which ``_energy`` may refresh in place."""
+    """The load fields of a fresh evaluator's record of ``genes``."""
     ev = EnergyEvaluator(inst, idle)
     ev.feasible(genes)
-    return ev._records[genes]._replace(term=None, stale=None)
+    return _load_fields(ev._records[genes])
 
 
 class TestKeptRecords:
@@ -414,7 +422,7 @@ class TestKeptRecords:
                         if rng.random() < 0.1:
                             ev.keep_records(rng.sample(pool, 4))
                     for genes, rec in ev._records.items():
-                        assert rec._replace(term=None, stale=None) == _own_record(inst, genes, idle)
+                        assert _load_fields(rec) == _own_record(inst, genes, idle)
         assert feasible > steps // 4 and feasible < steps
         assert hinted > steps // 3
 
@@ -431,13 +439,11 @@ class TestKeptRecords:
                 with pytest.raises(ValueError):
                     ev.first_violation(bad)
                 assert ev.parent is None
-                assert {
-                    g: rec._replace(term=None, stale=None) for g, rec in ev._records.items()
-                } == before
+                assert {g: _load_fields(rec) for g, rec in ev._records.items()} == before
         ev.parent = kept[1]
         child = (2, 2, 2, 2, 2, 0)
         assert ev.try_energy(child) == EnergyEvaluator(inst).try_energy(child)
-        assert ev._records[kept[1]]._replace(term=None, stale=None) == before[kept[1]]
+        assert _load_fields(ev._records[kept[1]]) == before[kept[1]]
 
     def test_record_count_is_bounded(self):
         inst = _spanning_instance()
@@ -450,10 +456,7 @@ class TestKeptRecords:
 
 def _current_record(ev):
     """The load fields of ``ev``'s current record, as ``_own_record`` gives them."""
-    return _Record(
-        ev._last_genes, ev._vms_at, ev._pe_load, ev._mips_load, ev._bad,
-        None, None, ev._order, ev._slot,
-    )
+    return _load_fields(ev._rec)
 
 
 class TestMoves:

@@ -4,10 +4,11 @@ errors, and the CLI maps every outcome to a documented exit code."""
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vmplace import ConfigError, ParseError
@@ -21,7 +22,7 @@ from vmplace.cli import (
     main,
     read_placement,
 )
-from vmplace.workload import TIMETABLE_HEADER, fleet_spec_from_json, parse_timetable
+from vmplace.workload import TIMETABLE_HEADER, fleet_spec_from_json, load_fleet, parse_timetable
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -131,6 +132,19 @@ def test_fleet_spec_from_json_raises_only_config_error(document):
         fleet_spec_from_json(document)
     except ConfigError:
         pass
+
+
+@PROPERTY
+@given(JSON_VALUE | FLEET)
+# The derandomized draws put no non-finite value in ``mips_per_pe``.
+@example({"entries": [{"model": "ibm_x3250", "count": 1, "mips_per_pe": float("nan")}]})
+@example({"entries": [{"model": "dell_r620", "count": 1, "mips_per_pe": float("inf")}]})
+def test_loaded_fleets_have_finite_positive_mips(document):
+    try:
+        hosts = load_fleet(io.StringIO(json.dumps(document)))
+    except (ConfigError, ValueError):
+        return
+    assert all(math.isfinite(h.mips_per_pe) and h.mips_per_pe > 0 for h in hosts)
 
 
 @PROPERTY

@@ -241,20 +241,6 @@ class TestGapa:
         assert result.stats["evaluations"] > 0
         assert len(sums) == (result.stats["evaluations"] if mode == "energy" else 0)
 
-    @pytest.mark.parametrize("mode", ["energy", "snapshot_power"])
-    def test_shared_evaluator_matches_fresh_ones_and_keeps_nothing(self, mode):
-        # Acceptance 2 and 3 run many seeds on one evaluator, as here.
-        inst = mixed_class_instance(5, 30, 8, 6)
-        shared = EnergyEvaluator(inst)
-        for seed in (1, 2):
-            cfg = GaConfig(generations=40, seed=seed, fitness_mode=mode)
-            got = gapa_schedule(inst, cfg, _evaluator=shared)
-            fresh = gapa_schedule(inst, cfg)
-            assert got.placement == fresh.placement
-            assert got.energy == fresh.energy
-            assert got.stats["trajectory"] == fresh.stats["trajectory"]
-            assert shared._records == {} and shared.parent is None
-
     def test_kept_records_stay_within_two_populations(self, monkeypatch):
         alive = []
         remember = EnergyEvaluator._remember
@@ -281,20 +267,6 @@ class TestGapa:
         config = GaConfig(generations=100, seed=3, fitness_mode=mode)
         gapa_schedule(worked_example_instance(), config)
         assert len(counted) == passes
-
-    @pytest.mark.parametrize("other", ["instance", "idle"])
-    def test_evaluator_of_another_problem_is_rejected(self, other):
-        inst = random_small_instance(4)
-        if other == "instance":
-            ev = EnergyEvaluator(random_small_instance(5))
-        else:
-            ev = EnergyEvaluator(inst, idle_hosts_powered=True)
-        with pytest.raises(ValueError, match="_evaluator"):
-            gapa_schedule(inst, GaConfig(generations=5, seed=1), _evaluator=ev)
-        # An equal instance built anew scores alike, so its evaluator serves.
-        twin = EnergyEvaluator(random_small_instance(4))
-        got = gapa_schedule(inst, GaConfig(generations=5, seed=1), _evaluator=twin)
-        assert got.placement == gapa_schedule(inst, GaConfig(generations=5, seed=1)).placement
 
     def test_stats_record_run_parameters(self):
         inst = random_small_instance(4)
