@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -128,8 +129,7 @@ class RunRecord:
     ratio_vs_bfd: Optional[float] = None
     per_host_kwh: Dict[int, float] = field(default_factory=dict)
     trajectory: Tuple[float, ...] = ()
-    # Not serialized: varies between runs and would break report determinism.
-    wall_time_s: Optional[float] = None
+    # Not in the report: ``--dump-placements`` writes it to a file of its own.
     placement: Optional[Placement] = None
 
 
@@ -140,7 +140,6 @@ def _record_from_result(solver: str, result: SolveResult, cfg: Optional[GaConfig
         total_kwh=result.energy.total_kwh,
         hosts_used=used,
         per_host_kwh={h: j * KWH_PER_JOULE for h, j in result.energy.per_host.items() if j > 0.0},
-        wall_time_s=result.stats.get("wall_time_s"),
         placement=result.placement,
     )
     if cfg is not None:
@@ -307,7 +306,7 @@ def read_placement(source) -> Placement:
 
 
 def _dump_placements(records: Sequence[RunRecord], out_path: str) -> None:
-    stem = out_path.rsplit(".", 1)[0]
+    stem = os.path.splitext(out_path)[0]
     for rec in records:
         if rec.placement is None:
             continue

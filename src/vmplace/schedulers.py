@@ -37,9 +37,6 @@ FITNESS_SNAPSHOT_POWER = "snapshot_power"
 
 RNG_ALGORITHM = "python-random-mt19937"
 
-#: Individuals carried unchanged into the next generation.
-ELITE_COUNT = 1
-
 
 @dataclass(frozen=True)
 class GaConfig:
@@ -53,8 +50,8 @@ class GaConfig:
     fitness_mode: str = FITNESS_ENERGY
 
     def __post_init__(self):
-        if self.population_size <= ELITE_COUNT:
-            raise ValueError(f"population_size must be > {ELITE_COUNT} (the elite count)")
+        if self.population_size < 2:
+            raise ValueError("population_size must be >= 2 (the elite and a child)")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
         if not 0.0 <= self.crossover_prob <= 1.0:
@@ -341,13 +338,14 @@ def gapa_schedule(
     """Generational genetic search, deterministic for a given (instance, config).
 
     Random initial population (repaired to feasibility), then per generation:
-    keep the elites, fill up with roulette selection -> single-point crossover
-    -> per-gene mutation -> repair -> host move (:func:`move_host`, at the
-    same rate as per-gene mutation). Returns the best individual ever seen.
+    keep one elite, the first individual of highest fitness, and fill up with
+    roulette selection -> single-point crossover -> per-gene mutation ->
+    repair -> host move (:func:`move_host`, at the same rate as per-gene
+    mutation). Returns the best individual ever seen.
 
     Each individual is scored as soon as it is built, so a child that the host
-    move leaves unchanged is scored from the load pass repair just made;
-    elites keep the fitness they had.
+    move leaves unchanged is scored from the load pass repair just made; the
+    elite keeps the fitness it had.
 
     Each run builds its own :class:`EnergyEvaluator`, which keeps the load
     record of every individual it scores. A child's first load pass starts
@@ -370,28 +368,25 @@ def gapa_schedule(
     n = len(instance.vms)
     m = len(instance.hosts)
 
+    size = config.population_size
     population: List[Genes] = []
     fitnesses: List[float] = []
-    for _ in range(config.population_size):
+    for _ in range(size):
         raw = tuple(rng.randrange(m) for _ in range(n))
         population.append(repair(raw, ev, rng))
         fitnesses.append(fitness(population[-1], ev, config))
 
-    best_genes = population[0]
-    best_fit = fitnesses[0]
-    for g, f in zip(population, fitnesses):
-        if f > best_fit:
-            best_genes, best_fit = g, f
-    trajectory = [max(fitnesses)]
+    # The first individual of highest fitness: the next elite, the
+    # trajectory entry and the best-so-far candidate.
+    top = max(range(size), key=fitnesses.__getitem__)
+    best_genes, best_fit = population[top], fitnesses[top]
+    trajectory = [best_fit]
 
-    size = config.population_size
     p_cross = config.crossover_prob
     p_mut = config.mutation_prob
     for _generation in range(config.generations):
-        ranked = sorted(range(len(population)), key=lambda i: -fitnesses[i])
-        elites = ranked[:ELITE_COUNT]
-        new_pop = [population[i] for i in elites]
-        new_fit = [fitnesses[i] for i in elites]
+        new_pop = [population[top]]
+        new_fit = [fitnesses[top]]
         while len(new_pop) < size:
             p1, p2 = select_parents(population, fitnesses, rng)
             c1, c2 = crossover(p1, p2, p_cross, rng)
@@ -407,11 +402,10 @@ def gapa_schedule(
         population = new_pop
         fitnesses = new_fit
         ev.keep_records(population)
-        gen_best = max(fitnesses)
-        trajectory.append(gen_best)
-        for g, f in zip(population, fitnesses):
-            if f > best_fit:
-                best_genes, best_fit = g, f
+        top = max(range(size), key=fitnesses.__getitem__)
+        trajectory.append(fitnesses[top])
+        if fitnesses[top] > best_fit:
+            best_genes, best_fit = population[top], fitnesses[top]
 
     placement = placement_from_genes(best_genes, instance)
     report = integrate_energy(placement, instance, idle_hosts_powered)

@@ -17,7 +17,8 @@ A fleet file is JSON:
                   "pe_count": 16, "mips_per_pe": 2200.0}],
      "power_models": [...]}            # optional extra curves
 
-``pe_count``/``mips_per_pe`` default per built-in model class.
+``pe_count``/``mips_per_pe`` default per built-in model class. ``count`` and
+``pe_count`` must be JSON integers and ``mips_per_pe`` a JSON number.
 """
 
 from __future__ import annotations
@@ -66,18 +67,14 @@ class TimetableRow:
 class SlotConfig:
     """How mask positions map to wall-clock seconds.
 
-    The defaults (45-minute slots, day starting at 0) make a three-slot lab
-    session last 8100 s.
+    The default 45-minute slots make a three-slot lab session last 8100 s.
     """
 
     slot_length: int = 2700
-    day_origin: int = 0
 
     def __post_init__(self):
         if self.slot_length < 1:
             raise ValueError("slot_length must be >= 1")
-        if self.day_origin < 0:
-            raise ValueError("day_origin must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -130,21 +127,16 @@ DEFAULT_FLEET = FleetSpec(
 
 
 def parse_timetable(source) -> List[TimetableRow]:
-    """Parse timetable rows from a string, file object or iterable of lines.
+    """Parse timetable rows from a string or file object.
 
     Rows come back in file order. The first malformed row raises
     :class:`ParseError` with its 1-based line number.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = "".join(source)
-    lines = text.splitlines()
-    if not lines:
+    text = source.read() if hasattr(source, "read") else source
+    first = next((line for line in text.splitlines() if line.strip()), None)
+    if first is None:
         return []
-    delimiter = "\t" if "\t" in lines[0] else ","
+    delimiter = "\t" if "\t" in first else ","
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     rows: List[TimetableRow] = []
     mask_len: Optional[int] = None
@@ -210,7 +202,7 @@ def expand(
     group) pairs never share an id; ids without them are unchanged.
 
     Days run back to back: a day lasts one slot mask (``len(slot_mask)`` slots)
-    and the earliest day in ``rows`` starts at ``slots.day_origin``. The
+    and the earliest day in ``rows`` starts at time 0. The
     overnight gap is not modelled, which matters only when idle hosts are
     powered.
     """
@@ -227,7 +219,7 @@ def expand(
                 stacklevel=2,
             )
         day_offset = (row.day - first_day) * len(row.slot_mask)
-        start = slots.day_origin + (day_offset + row.first_slot - 1) * slots.slot_length
+        start = (day_offset + row.first_slot - 1) * slots.slot_length
         key = (row.class_id, row.group_id)
         prefix = f"{_escape_id(row.class_id)}-{_escape_id(row.group_id)}-"
         for _ in range(row.students):
@@ -272,6 +264,16 @@ def _json_list(data: dict, key: str) -> list:
     return value
 
 
+def _json_number(entry: dict, key: str, default, kinds: tuple, kind: str):
+    """``entry[key]``, or ``default`` when absent, if its type is one of
+    ``kinds``. JSON ``true`` and ``false`` load as ``bool``, a type of its
+    own, so they are refused."""
+    value = entry.get(key, default)
+    if type(value) not in kinds:
+        raise ConfigError(f"bad fleet entry {entry!r}: {key} must be a JSON {kind}, got {value!r}")
+    return value
+
+
 def fleet_spec_from_json(data) -> Tuple[FleetSpec, Dict[str, PowerModel]]:
     """Decode a fleet JSON document into a spec plus any inline power models."""
     if not isinstance(data, dict):
@@ -287,11 +289,11 @@ def fleet_spec_from_json(data) -> Tuple[FleetSpec, Dict[str, PowerModel]]:
     for entry in _json_list(data, "entries"):
         try:
             name = str(entry["model"])
-            count = int(entry["count"])
+            count = _json_number(entry, "count", None, (int,), "integer")
             defaults = HOST_CLASS_DEFAULTS.get(name, (None, None))
-            pe_count = int(entry.get("pe_count", defaults[0]))
-            mips_per_pe = float(entry.get("mips_per_pe", defaults[1]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            pe_count = _json_number(entry, "pe_count", defaults[0], (int,), "integer")
+            mips_per_pe = float(_json_number(entry, "mips_per_pe", defaults[1], (int, float), "number"))
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad fleet entry {entry!r}: {exc}") from exc
         entries.append(FleetEntry(name, count, pe_count, mips_per_pe))
     if not entries:

@@ -227,6 +227,14 @@ class TestMain:
         row = _read_csv_report(out)[0]
         assert float(row["total_kwh"]) == pytest.approx(report.total_kwh, abs=1e-6)
 
+    def test_dump_placements_next_to_a_report_without_extension(self, tmp_path):
+        out_dir = tmp_path / "run.v2"
+        out_dir.mkdir()
+        rc = main(["solve", "--solver", "bfd", "--out", str(out_dir / "report"), "--dump-placements"])
+        assert rc == EXIT_OK
+        placements = [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.placement")]
+        assert placements == ["run.v2/report.bfd.placement"]
+
     def test_experiment_small_grid(self, tmp_path):
         out = tmp_path / "report.csv"
         rc = main(
@@ -311,6 +319,36 @@ class TestMain:
             pytest.param(["solve", "--fleet", "models-int.json"], EXIT_CONFIG, id="solve-fleet-models-not-array"),
             pytest.param(["solve", "--fleet", "count-inf.json"], EXIT_CONFIG, id="solve-fleet-count-overflow"),
             pytest.param(["solve", "--fleet", "count-negative.json"], EXIT_CONFIG, id="solve-fleet-count-negative"),
+            pytest.param(
+                ["solve", "--workload", "five.csv", "--fleet", "count-fraction.json"],
+                EXIT_CONFIG,
+                id="solve-fleet-count-fraction",
+            ),
+            pytest.param(
+                ["solve", "--workload", "five.csv", "--fleet", "count-true.json"],
+                EXIT_CONFIG,
+                id="solve-fleet-count-true",
+            ),
+            pytest.param(
+                ["solve", "--workload", "five.csv", "--fleet", "count-string.json"],
+                EXIT_CONFIG,
+                id="solve-fleet-count-string",
+            ),
+            pytest.param(
+                ["solve", "--workload", "five.csv", "--fleet", "pe-fraction.json"],
+                EXIT_CONFIG,
+                id="solve-fleet-pe-fraction",
+            ),
+            pytest.param(
+                ["solve", "--workload", "five.csv", "--fleet", "mips-true.json"],
+                EXIT_CONFIG,
+                id="solve-fleet-mips-true",
+            ),
+            pytest.param(
+                ["solve", "--workload", "five.csv", "--fleet", "mips-string.json"],
+                EXIT_CONFIG,
+                id="solve-fleet-mips-string",
+            ),
             pytest.param(["solve", "--workload", "long-field.csv"], EXIT_CONFIG, id="solve-workload-field-too-long"),
             pytest.param(["solve", "--workload", "dashed-ids.csv"], EXIT_OK, id="solve-dashes-in-class-and-group-ids"),
             pytest.param(["solve", "--fleet", "mips-nan.json"], EXIT_CONFIG, id="solve-fleet-mips-nan"),
@@ -351,6 +389,14 @@ class TestMain:
             "count-negative.json": json.dumps(
                 {"entries": [{"model": "dell_r620", "count": 20}, {"model": "ibm_x3250", "count": -3}]}
             ),
+            # Counts and core counts are JSON integers; MIPS is a JSON number.
+            # None of these is truncated or converted.
+            "count-fraction.json": json.dumps({"entries": [{"model": "ibm_x3250", "count": 2.7}]}),
+            "count-true.json": json.dumps({"entries": [{"model": "dell_r620", "count": True}]}),
+            "count-string.json": json.dumps({"entries": [{"model": "ibm_x3250", "count": "3"}]}),
+            "pe-fraction.json": json.dumps({"entries": [{"model": "dell_r620", "count": 1, "pe_count": 15.9}]}),
+            "mips-true.json": json.dumps({"entries": [{"model": "dell_r620", "count": 1, "mips_per_pe": True}]}),
+            "mips-string.json": json.dumps({"entries": [{"model": "dell_r620", "count": 1, "mips_per_pe": "2200"}]}),
             # One field past the csv module's 131,072-character limit.
             "long-field.csv": FIVE_VM_TIMETABLE + "6,1,C2," + "G" * 131_073 + ",1,123------------,8100\n",
             # Class C-1 with group G and class C with group 1-G.

@@ -8,7 +8,7 @@ import math
 import os
 import tempfile
 
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmplace import ConfigError, ParseError
@@ -22,7 +22,7 @@ from vmplace.cli import (
     main,
     read_placement,
 )
-from vmplace.workload import TIMETABLE_HEADER, fleet_spec_from_json, load_fleet, parse_timetable
+from vmplace.workload import HOST_CLASS_DEFAULTS, TIMETABLE_HEADER, fleet_spec_from_json, load_fleet, parse_timetable
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -35,10 +35,12 @@ TEXT = st.text(st.characters(codec="utf-8"), max_size=12)
 #: module's own failures (a bare carriage return, an over-long field).
 BAD_CELL = TEXT | st.sampled_from(["", '"', "\r", "1\n2", "9" * 30, LONG_FIELD])
 
-#: Values that no fleet field accepts, including the non-finite floats
-#: ``json.loads`` reads from ``NaN``, ``Infinity`` and ``1e400``. Counts stay
-#: small: ``build_fleet`` makes one host per count.
-BAD_JSON = st.sampled_from([-3, 0.0, 2.5, float("inf"), float("nan"), "3", "x", "nope", None, [], {}, True, 5])
+#: Values that fleet fields refuse, including the non-finite floats
+#: ``json.loads`` reads from ``NaN``, ``Infinity`` and ``1e400``, and ``5``,
+#: a valid count, core count and MIPS. Counts stay small: ``build_fleet``
+#: makes one host per count.
+BAD_VALUES = [-3, 0.0, 2.5, float("inf"), float("nan"), "3", "x", "nope", None, [], {}, True, 5]
+BAD_JSON = st.sampled_from(BAD_VALUES)
 
 
 @st.composite
@@ -90,6 +92,15 @@ FLEET_ENTRY = _one_bad(
     ("model", "count", "pe_count", "mips_per_pe"),
     BAD_JSON,
 )
+#: One-host fleets, each with one entry field set to one ``BAD_VALUES`` item.
+#: Each is a branch of its own in ``FLEET``, exhausted once drawn, and the
+#: search skips exhausted branches, so each test's 200 draws reach every
+#: (field, value) pair on its own.
+ONE_BAD_FIELD = [
+    st.just({"entries": [{"model": "dell_r620", "count": 1, key: bad}]})
+    for key in ("model", "count", "pe_count", "mips_per_pe")
+    for bad in BAD_VALUES
+]
 POWER_MODEL = _one_bad(
     st.fixed_dictionaries(
         {"name": st.just("curve"), "samples": st.lists(st.floats(1.0, 500.0), min_size=11, max_size=11)}
@@ -97,13 +108,16 @@ POWER_MODEL = _one_bad(
     ("name", "samples"),
     BAD_JSON,
 )
-FLEET = _one_bad(
-    st.fixed_dictionaries(
-        {"entries": st.lists(FLEET_ENTRY, min_size=1, max_size=3)},
-        optional={"power_models": st.lists(POWER_MODEL, max_size=2)},
+FLEET = st.one_of(
+    *ONE_BAD_FIELD,
+    _one_bad(
+        st.fixed_dictionaries(
+            {"entries": st.lists(FLEET_ENTRY, min_size=1, max_size=3)},
+            optional={"power_models": st.lists(POWER_MODEL, max_size=2)},
+        ),
+        ("entries", "power_models"),
+        BAD_JSON,
     ),
-    ("entries", "power_models"),
-    BAD_JSON,
 )
 
 
@@ -136,15 +150,26 @@ def test_fleet_spec_from_json_raises_only_config_error(document):
 
 @PROPERTY
 @given(JSON_VALUE | FLEET)
-# The derandomized draws put no non-finite value in ``mips_per_pe``.
-@example({"entries": [{"model": "ibm_x3250", "count": 1, "mips_per_pe": float("nan")}]})
-@example({"entries": [{"model": "dell_r620", "count": 1, "mips_per_pe": float("inf")}]})
 def test_loaded_fleets_have_finite_positive_mips(document):
     try:
         hosts = load_fleet(io.StringIO(json.dumps(document)))
     except (ConfigError, ValueError):
         return
     assert all(math.isfinite(h.mips_per_pe) and h.mips_per_pe > 0 for h in hosts)
+
+
+@PROPERTY
+@given(JSON_VALUE | FLEET)
+def test_loaded_fleets_have_the_counts_their_document_asks_for(document):
+    """No count or core count is truncated, converted or read from a boolean."""
+    try:
+        hosts = load_fleet(io.StringIO(json.dumps(document)))
+    except (ConfigError, ValueError):
+        return
+    default_pes = {name: pes for name, (pes, _) in HOST_CLASS_DEFAULTS.items()}
+    asked = [(e["count"], e.get("pe_count", default_pes.get(str(e["model"])))) for e in document["entries"]]
+    assert all(type(count) is int and type(pe_count) is int for count, pe_count in asked)
+    assert [h.pe_count for h in hosts] == [pe_count for count, pe_count in asked for _ in range(count)]
 
 
 @PROPERTY

@@ -39,15 +39,19 @@ class TestParseTimetable:
         assert first == {1, 4}
         assert all(r.slot_run == 3 for r in rows)
 
-    def test_accepts_file_object_and_line_iterable(self):
+    def test_accepts_file_object(self):
         text = HEADER + "1,s,c,g,2,12-------------,5400\n"
-        assert parse_timetable(io.StringIO(text)) == parse_timetable(text.splitlines(keepends=True))
+        assert parse_timetable(io.StringIO(text)) == parse_timetable(text)
 
     def test_tab_delimited(self):
         text = SAMPLE_TIMETABLE.replace(",", "\t")
         rows = parse_timetable(text)
         assert len(rows) == 7
         assert sum(r.students for r in rows) == 211
+
+    def test_tab_delimited_after_blank_lines(self):
+        text = "\n  \n" + SAMPLE_TIMETABLE.replace(",", "\t")
+        assert parse_timetable(text) == parse_timetable(SAMPLE_TIMETABLE)
 
     def test_empty_and_header_only(self):
         assert parse_timetable("") == []
@@ -138,9 +142,9 @@ class TestExpand:
         assert all(v.pe_count == 1 and v.mips_per_pe == 2200.0 for v in vms)
 
     def test_slot_config_shifts_starts(self):
-        rows = parse_timetable(SAMPLE_TIMETABLE)
-        vms = expand(rows, SlotConfig(slot_length=2700, day_origin=3600))
-        assert {v.start_time for v in vms} == {3600, 3600 + 8100}
+        text = HEADER + "1,s,c,g,2,---45----------,7200\n"  # two 3600 s slots
+        vms = expand(parse_timetable(text), SlotConfig(slot_length=3600))
+        assert [v.start_time for v in vms] == [3 * 3600] * 2
 
     def test_duration_slot_mismatch_warns(self):
         text = HEADER + "1,s,c,g,1,123------------,5400\n"  # 3 slots but 5400 s
@@ -159,10 +163,10 @@ class TestExpand:
         # One day is the 15-slot mask: 15 x 2700 s = 40500 s.
         assert windows == [(0, 8100)] * 16 + [(40500, 48600)] * 16
 
-    def test_earliest_day_starts_at_day_origin(self):
+    def test_earliest_day_starts_at_time_zero(self):
         text = HEADER + "3,s,c,g,1,-2-------------,2700\n" + "5,s,c,g,1,-2-------------,2700\n"
-        vms = expand(parse_timetable(text), SlotConfig(day_origin=100))
-        assert [v.start_time for v in vms] == [100 + 2700, 100 + 2 * 40500 + 2700]
+        vms = expand(parse_timetable(text))
+        assert [v.start_time for v in vms] == [2700, 2 * 40500 + 2700]
 
     def test_ordinals_accumulate_across_rows_of_same_group(self):
         text = (
