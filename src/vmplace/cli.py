@@ -407,6 +407,8 @@ def _values(arg, default: tuple) -> tuple:
 
 def cmd_run(args) -> int:
     """``experiment``, and ``solve`` as an experiment of one grid point and one seed."""
+    if args.dump_placements and args.out is None:
+        raise ConfigError("--dump-placements needs --out: placement files are named after the report")
     fitness = FITNESS_ENERGY if args.fitness == "energy" else FITNESS_SNAPSHOT_POWER
     grid = tuple(
         GaConfig(

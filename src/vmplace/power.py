@@ -184,13 +184,14 @@ class _Record:
     a record share the cells they have in common. ``pe_load`` and
     ``mips_load`` are each cell's load, ``bad`` the cells over capacity and
     ``violation`` the earliest of them as (segment, host), None if there is
-    none. ``term[k]`` is cell k's joules at its current load, unless k is in
-    ``stale`` (its load changed since the last energy). A pass over the genes
-    in index order first touches the occupied cells in (lowest VM, segment)
-    order, so ``order`` holds at each (VM, segment) slot the cell that VM is
-    the lowest of in that segment, and ``slot[k]`` is cell k's slot, -1 when
-    it is empty. A slot that names no cell holds the cell count, whose term
-    is a trailing 0.0: adding +0.0 leaves a sum that starts at idle_base >= 0
+    none. ``term[k]`` is cell k's joules at its load, 0.0 when it is empty;
+    the pass that changes a cell's MIPS load sets its term, so a record is
+    complete when its pass ends. A pass over the genes in index order first
+    touches the occupied cells in (lowest VM, segment) order, so ``order``
+    holds at each (VM, segment) slot the cell that VM is the lowest of in
+    that segment, and ``slot[k]`` is cell k's slot, -1 when it is empty. A
+    slot that names no cell holds the cell count, whose term is a trailing
+    0.0: adding +0.0 leaves a sum that starts at idle_base >= 0
     bit-identical. The empty record's ``genes`` is None.
     """
 
@@ -201,7 +202,6 @@ class _Record:
     mips_load: List[float]
     bad: Set[int]
     term: List[float]
-    stale: Set[int]
     order: List[int]
     slot: List[int]
 
@@ -209,7 +209,7 @@ class _Record:
         """A record equal to this one that shares no mutable container with it."""
         return _Record(
             self.genes, self.violation, self.vms_at[:], self.pe_load[:], self.mips_load[:],
-            set(self.bad), self.term[:], set(self.stale), self.order[:], self.slot[:],
+            set(self.bad), self.term[:], self.order[:], self.slot[:],
         )
 
 
@@ -223,20 +223,23 @@ class EnergyEvaluator:
 
     A load record (:class:`_Record`) holds, for one gene vector, each (host,
     segment) cell's VMs in ascending index order, its PE and MIPS load, the
-    violating cells, a cached energy term per cell and the order in which a
-    count from scratch first touches the occupied cells, which is the order
-    energy terms are summed in. :meth:`_compute` makes the record of the
-    requested genes current by moving a record it already has and
-    recounting only the cells whose VM set changed, from their VMs in index
-    order, so every load equals a count from scratch bit for bit; the first
-    pass is a move from the empty record. A pass starts from the record of
+    violating cells, an energy term per cell and the order in which a count
+    from scratch first touches the occupied cells, which is the order energy
+    terms are summed in. :meth:`_compute` makes the record of the requested
+    genes current by moving a record it already has and recounting only the
+    cells whose VM set changed, from their VMs in index order, so every load
+    equals a count from scratch bit for bit, and it sets the term of every
+    cell whose MIPS load changed; the first pass is a move from the empty
+    record. So every record, kept or current, equals the one a fresh
+    evaluator makes of the same genes. A pass starts from the record of
     :attr:`parent` when that is set and kept (and clears it), otherwise from
     the current record. A search that builds a vector with :meth:`move`
     names the VMs it moved, so the pass of that vector visits only them.
     :meth:`first_violation`, :meth:`fits`, :meth:`fits_all`,
     :meth:`host_vms`, :meth:`try_energy` and :meth:`snapshot_power` read the
-    current record, making it first when asked about other genes. Only
-    :meth:`try_energy` and :meth:`snapshot_power` turn loads into watts.
+    current record, making it first when asked about other genes. Loads
+    become watts only in :meth:`watts_at`, which the load pass,
+    :meth:`snapshot_power` and the BFD baseline call.
 
     Results are memoized by gene tuple, but only for the vectors
     :meth:`try_energy` or :meth:`feasible` is asked about; a vector memoized
@@ -245,6 +248,8 @@ class EnergyEvaluator:
     and the next pass copies it before changing it, so a later pass never
     changes a kept record. :meth:`keep_records` drops the ones a caller no
     longer names as parents; at most ``_RECORD_LIMIT`` are kept in any case.
+    The memo clears when it holds more than ``_CACHE_LIMIT`` vectors or more
+    than ``_CACHE_GENES`` genes, so its size does not grow with the VM count.
     """
 
     # Slots keep attribute reads fast however many attributes there are: past
@@ -258,6 +263,7 @@ class EnergyEvaluator:
     )
 
     _CACHE_LIMIT = 150_000
+    _CACHE_GENES = 15_000_000
     _RECORD_LIMIT = 64
 
     def __init__(self, instance: ProblemInstance, idle_hosts_powered: bool = False):
@@ -303,13 +309,15 @@ class EnergyEvaluator:
         self.idle_base = (
             ordered_sum(t[0] for t in self.tables) * instance.horizon if idle_hosts_powered else 0.0
         )
+        # Watts by MIPS load, one memo per host class, reached by host.
+        memos: Dict[int, Dict[float, float]] = {}
+        self._watts = [memos.setdefault(c, {}) for c in self.host_class]
         self.evaluations = 0
         self._cache: Dict[Tuple[int, ...], Optional[float]] = {}
         # The current record, None until a pass succeeds; the first pass
-        # builds it empty, and the watts memo, so an evaluator used only for
-        # its tables (as BFD uses it) never pays for them. While _kept is
-        # set, the current record is also a kept one, so the next pass copies
-        # it before changing it.
+        # builds it empty, so an evaluator that runs no pass (as in BFD)
+        # never pays for one. While _kept is set, the current record
+        # is also a kept one, so the next pass copies it before changing it.
         self._rec: Optional[_Record] = None
         self._kept = False
         # Kept records by genes.
@@ -321,11 +329,7 @@ class EnergyEvaluator:
         self._moved: Optional[Tuple[Tuple[int, ...], Sequence[int], List[int]]] = None
 
     def _empty_record(self) -> _Record:
-        """The record with no VM placed; also builds the watts memo and the slot table."""
-        # Watts (less the idle draw when idle hosts are powered) by MIPS load,
-        # one memo per host class, reached by host.
-        memos: Dict[int, Dict[float, float]] = {}
-        self._watts = [memos.setdefault(c, {}) for c in self.host_class]
+        """The record with no VM placed; also builds the slot table."""
         cells = self.host_count * self.nseg
         # One slot per (VM, segment) pair, in that order: VM i's slot in
         # segment s is _first_slot[i] + s.
@@ -336,7 +340,7 @@ class EnergyEvaluator:
             slots += b - a
         return _Record(
             None, None, [()] * cells, [0] * cells, [0.0] * cells, set(),
-            [0.0] * (cells + 1), set(), [cells] * slots, [-1] * cells,
+            [0.0] * (cells + 1), [cells] * slots, [-1] * cells,
         )
 
     def try_energy(self, genes: Tuple[int, ...], cache: bool = True) -> Optional[float]:
@@ -367,7 +371,7 @@ class EnergyEvaluator:
 
     def _remember(self, genes: Tuple[int, ...], val) -> None:
         """Memoize ``val`` and keep the record of ``genes``, the current one."""
-        if len(self._cache) > self._CACHE_LIMIT:
+        if len(self._cache) > self._CACHE_LIMIT or len(self._cache) * len(genes) > self._CACHE_GENES:
             self._cache.clear()
         self._cache[genes] = val
         records = self._records
@@ -411,8 +415,10 @@ class EnergyEvaluator:
         the loads stay exactly those of a count from scratch, including at an
         exact capacity fill. The first-touch order of the occupied cells is
         kept by the same pass: only a recounted cell whose lowest VM changed
-        moves to another slot. A gene that is not a host index raises
-        ValueError and leaves the current and every kept record as they were.
+        moves to another slot. A recounted cell whose MIPS load changed gets
+        its term from :meth:`watts_at`, less the idle draw when idle hosts are
+        powered, or 0.0 when it empties. A gene that is not a host index
+        raises ValueError and leaves the current and every kept record as they were.
         """
         rec, kept = self._rec, self._kept
         if self.parent is not None:
@@ -471,7 +477,11 @@ class EnergyEvaluator:
         pe_l = rec.pe_load
         mips_l = rec.mips_load
         bad = rec.bad
-        stale = rec.stale
+        term = rec.term
+        watts_at = self.watts_at
+        tables = self.tables
+        idle = self.idle
+        seg_len = self.seg_len
         first_slot = self._first_slot
         order = rec.order
         slot_of = rec.slot
@@ -487,7 +497,13 @@ class EnergyEvaluator:
             pe_l[k] = p
             if x != mips_l[k]:
                 mips_l[k] = x
-                stale.add(k)
+                if vms:
+                    w = watts_at(h, x)
+                    if idle:
+                        w -= tables[h][0]
+                    term[k] = w * seg_len[k // m]
+                else:
+                    term[k] = 0.0
             if p > host_pe[h] or x > mips_cap[h]:
                 bad.add(k)
             else:
@@ -507,43 +523,27 @@ class EnergyEvaluator:
         return rec.violation
 
     def _energy(self) -> float:
-        """Total joules of the current record, which must be feasible. Only
-        the cells whose load changed since their terms were set get new ones,
-        from the watts memo or the power curve; the terms are summed in the
-        first-touch order the pass keeps, so no call sorts. Refreshing terms
-        in place is safe on a kept record, because they stay those of its own
-        genes."""
-        m = self.host_count
+        """Total joules of the current record, which must be feasible: its
+        terms summed after the idle base in the first-touch order the pass
+        keeps, so no call sorts and nothing is written."""
         rec = self._rec
-        pe_l = rec.pe_load
-        mips_l = rec.mips_load
-        seg_len = self.seg_len
         term = rec.term
-        watts = self._watts
-        stale = rec.stale
-        for k in stale:
-            if pe_l[k]:
-                s, h = divmod(k, m)
-                x = mips_l[k]
-                memo = watts[h]
-                w = memo.get(x)
-                if w is None:
-                    if len(memo) > self._CACHE_LIMIT:
-                        memo.clear()
-                    u = x / self.host_mips[h]
-                    if u > 1.0:
-                        u = 1.0
-                    table = self.tables[h]
-                    w = _interp(table, u)
-                    if self.idle:
-                        w -= table[0]
-                    memo[x] = w
-                term[k] = w * seg_len[s]
-        stale.clear()
         total = self.idle_base
         for k in rec.order:
             total += term[k]
         return total
+
+    def watts_at(self, h: int, x: float) -> float:
+        """Watts host ``h`` draws at MIPS load ``x``, its utilization capped at 1;
+        memoized per host class, up to ``_CACHE_LIMIT`` loads."""
+        memo = self._watts[h]
+        w = memo.get(x)
+        if w is None:
+            if len(memo) > self._CACHE_LIMIT:
+                memo.clear()
+            u = x / self.host_mips[h]
+            w = memo[x] = _interp(self.tables[h], u if u < 1.0 else 1.0)
+        return w
 
     def move(self, genes: Tuple[int, ...], vms: Iterable[int], host: int) -> Tuple[int, ...]:
         """``genes`` with every VM in ``vms`` on ``host``, as a tuple.
@@ -645,8 +645,7 @@ class EnergyEvaluator:
         for h in range(m):
             md = mips_l[base + h]
             if md > 0.0:
-                u = min(md / self.host_mips[h], 1.0)
-                total += _interp(self.tables[h], u)
+                total += self.watts_at(h, md)
             elif self.idle:
                 total += self.tables[h][0]
         return total

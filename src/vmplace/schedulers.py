@@ -27,7 +27,7 @@ from .errors import (
     UnrepairableError,
 )
 from .model import Placement, ProblemInstance
-from .power import EnergyEvaluator, EnergyReport, _interp, integrate_energy
+from .power import EnergyEvaluator, EnergyReport, integrate_energy
 
 #: One candidate allocation: gene[i] is the host index of VM i.
 Genes = Tuple[int, ...]
@@ -250,8 +250,8 @@ def bfd_schedule(instance: ProblemInstance, idle_hosts_powered: bool = False) ->
     and power samples. Its unused hosts all have the
     same fit and the same delta, so none of them can beat the lowest-index
     one, and the result is exactly that of scoring every host. Each
-    (segment, host) cell keeps its current watts, so scoring a host
-    interpolates the power curve once per segment.
+    (segment, host) cell keeps its current watts, so scoring a host reads
+    :meth:`EnergyEvaluator.watts_at` once per segment.
     """
     if not instance.vms:
         raise ValueError("bfd_schedule: empty instance")
@@ -261,15 +261,14 @@ def bfd_schedule(instance: ProblemInstance, idle_hosts_powered: bool = False) ->
     n = len(vms)
     m = ev.host_count
     order = sorted(range(n), key=lambda i: (vms[i].start_time, -vms[i].total_mips, vms[i].id))
-    tables = ev.tables
+    watts_at = ev.watts_at
     host_pe = ev.host_pe
-    host_mips = ev.host_mips
     mips_cap = ev.mips_cap
     # Cell k = segment * m + host, as in the evaluator's record.
     pe_load = [0] * (ev.nseg * m)
     mips_load = [0.0] * (ev.nseg * m)
     # An empty cell draws 0 W, or its idle watts when idle hosts are powered.
-    watts = [t[0] if idle_hosts_powered else 0.0 for t in tables] * ev.nseg
+    watts = [t[0] if idle_hosts_powered else 0.0 for t in ev.tables] * ev.nseg
 
     # Candidates, ascending: the used hosts and each class's lowest unused
     # host. successor[h] is the next host of h's class, not yet a candidate.
@@ -294,15 +293,13 @@ def bfd_schedule(instance: ProblemInstance, idle_hosts_powered: bool = False) ->
         best_h = -1
         for h in candidates:
             e = row[h]
-            table = tables[h]
             delta = 0.0
             for off, seg_len in zip(run, lens):
                 k = off + h
                 x = mips_load[k] + e
                 if pe_load[k] + p > host_pe[h] or x > mips_cap[h]:
                     break
-                u = x / host_mips[h]
-                delta += (_interp(table, u if u < 1.0 else 1.0) - watts[k]) * seg_len
+                delta += (watts_at(h, x) - watts[k]) * seg_len
             else:
                 if best_delta is None or delta < best_delta:
                     best_delta = delta
@@ -315,8 +312,7 @@ def bfd_schedule(instance: ProblemInstance, idle_hosts_powered: bool = False) ->
             k = off + best_h
             pe_load[k] += p
             mips_load[k] += e
-            u = mips_load[k] / host_mips[best_h]
-            watts[k] = _interp(tables[best_h], u if u < 1.0 else 1.0)
+            watts[k] = watts_at(best_h, mips_load[k])
         nxt = successor.pop(best_h, None)
         if nxt is not None:
             insort(candidates, nxt)

@@ -133,11 +133,13 @@ def parse_timetable(source) -> List[TimetableRow]:
     :class:`ParseError` with its 1-based line number.
     """
     text = source.read() if hasattr(source, "read") else source
-    first = next((line for line in text.splitlines() if line.strip()), None)
+    # A line of only whitespace, commas and tabs is blank: no delimiter, no row.
+    lines = [line if line.replace(",", "").strip() else "\n" for line in io.StringIO(text)]
+    first = next((line for line in lines if line != "\n"), None)
     if first is None:
         return []
     delimiter = "\t" if "\t" in first else ","
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    reader = csv.reader(lines, delimiter=delimiter)
     rows: List[TimetableRow] = []
     mask_len: Optional[int] = None
     header_seen = False
@@ -146,7 +148,7 @@ def parse_timetable(source) -> List[TimetableRow]:
     except csv.Error as exc:
         raise ParseError(reader.line_num, str(exc)) from exc
     for lineno, fields in enumerate(records, start=1):
-        if not fields or all(not f.strip() for f in fields):
+        if not fields:
             continue
         fields = [f.strip() for f in fields]
         if not header_seen:

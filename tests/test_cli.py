@@ -350,6 +350,9 @@ class TestMain:
                 id="solve-fleet-mips-string",
             ),
             pytest.param(["solve", "--workload", "long-field.csv"], EXIT_CONFIG, id="solve-workload-field-too-long"),
+            pytest.param(
+                ["solve", "--workload", "five.csv", "--dump-placements"], EXIT_CONFIG, id="solve-dump-placements-without-out"
+            ),
             pytest.param(["solve", "--workload", "dashed-ids.csv"], EXIT_OK, id="solve-dashes-in-class-and-group-ids"),
             pytest.param(["solve", "--fleet", "mips-nan.json"], EXIT_CONFIG, id="solve-fleet-mips-nan"),
             pytest.param(["solve", "--fleet", "mips-inf.json"], EXIT_CONFIG, id="solve-fleet-mips-inf"),

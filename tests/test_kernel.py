@@ -352,20 +352,11 @@ class TestMovingRecord:
         assert walker.first_violation((0,) * 8 + (1,)) is None
 
 
-def _load_fields(rec):
-    """Every field of a load record but the energy terms, which ``_energy``
-    may refresh in place."""
-    return (
-        rec.genes, rec.violation, rec.vms_at, rec.pe_load, rec.mips_load,
-        rec.bad, rec.order, rec.slot,
-    )
-
-
 def _own_record(inst, genes, idle):
-    """The load fields of a fresh evaluator's record of ``genes``."""
+    """A fresh evaluator's record of ``genes``."""
     ev = EnergyEvaluator(inst, idle)
     ev.feasible(genes)
-    return _load_fields(ev._records[genes])
+    return ev._records[genes]
 
 
 class TestKeptRecords:
@@ -422,7 +413,7 @@ class TestKeptRecords:
                         if rng.random() < 0.1:
                             ev.keep_records(rng.sample(pool, 4))
                     for genes, rec in ev._records.items():
-                        assert _load_fields(rec) == _own_record(inst, genes, idle)
+                        assert rec == _own_record(inst, genes, idle)
         assert feasible > steps // 4 and feasible < steps
         assert hinted > steps // 3
 
@@ -439,11 +430,24 @@ class TestKeptRecords:
                 with pytest.raises(ValueError):
                     ev.first_violation(bad)
                 assert ev.parent is None
-                assert {g: _load_fields(rec) for g, rec in ev._records.items()} == before
+                assert ev._records == before
         ev.parent = kept[1]
         child = (2, 2, 2, 2, 2, 0)
         assert ev.try_energy(child) == EnergyEvaluator(inst).try_energy(child)
-        assert _load_fields(ev._records[kept[1]]) == before[kept[1]]
+        assert ev._records[kept[1]] == before[kept[1]]
+
+    @pytest.mark.parametrize("idle", [False, True])
+    def test_energy_of_a_kept_vector_leaves_its_record_as_it_was(self, idle):
+        # feasible() keeps the record without summing joules; try_energy()
+        # then sums the kept record's terms and writes nothing into it.
+        inst = _spanning_instance()
+        ev = EnergyEvaluator(inst, idle)
+        for genes in [(0, 1, 2, 0, 1, 2), (2, 2, 2, 2, 2, 0), (0, 0, 1, 1, 2, 2)]:
+            assert ev.feasible(genes)
+            before = ev._records[genes].copy()
+            assert before == _own_record(inst, genes, idle)
+            assert ev.try_energy(genes) == EnergyEvaluator(inst, idle).try_energy(genes)
+            assert ev._records[genes] == before
 
     def test_record_count_is_bounded(self):
         inst = _spanning_instance()
@@ -452,11 +456,6 @@ class TestKeptRecords:
             genes = tuple(code // 3**i % 3 for i in range(6))
             ev.feasible(genes)
             assert len(ev._records) <= ev._RECORD_LIMIT
-
-
-def _current_record(ev):
-    """The load fields of ``ev``'s current record, as ``_own_record`` gives them."""
-    return _load_fields(ev._rec)
 
 
 class TestMoves:
@@ -517,7 +516,7 @@ class TestMoves:
                         # A vector the memo holds needs no pass; host_vms reads
                         # the record, so it makes the record of ``genes``.
                         ev.host_vms(0, genes)
-                        assert _current_record(ev) == _own_record(inst, genes, idle)
+                        assert ev._rec == _own_record(inst, genes, idle)
                         if expected is None:
                             feasible += 1
                             if mode == "energy":
@@ -546,11 +545,11 @@ class TestMoves:
                 assert energy == EnergyEvaluator(inst, idle).try_energy(moved)
                 if _expected_violation(inst, moved) is None:
                     assert energy == _first_touch_energy(inst, moved, idle)
-                assert _current_record(ev) == _own_record(inst, moved, idle)
+                assert ev._rec == _own_record(inst, moved, idle)
                 back = ev.move(moved, (0,), src)
                 assert back == genes
                 assert ev.snapshot_power(back) == EnergyEvaluator(inst, idle).snapshot_power(back)
-                assert _current_record(ev) == _own_record(inst, genes, idle)
+                assert ev._rec == _own_record(inst, genes, idle)
 
     def test_move_runs_no_pass(self, monkeypatch):
         inst = _spanning_instance()
@@ -586,4 +585,4 @@ class TestMoves:
         for host in (-1, 3):
             with pytest.raises(ValueError):
                 ev.first_violation(ev.move(genes, (1,), host))
-            assert _current_record(ev) == _own_record(inst, genes, False)
+            assert ev._rec == _own_record(inst, genes, False)

@@ -53,6 +53,17 @@ class TestParseTimetable:
         text = "\n  \n" + SAMPLE_TIMETABLE.replace(",", "\t")
         assert parse_timetable(text) == parse_timetable(SAMPLE_TIMETABLE)
 
+    def test_comma_line_before_a_tab_delimited_header_is_blank(self):
+        text = ",,,\n" + SAMPLE_TIMETABLE.replace(",", "\t")
+        assert parse_timetable(text) == parse_timetable(SAMPLE_TIMETABLE)
+
+    def test_comma_and_tab_rows_are_blank_in_either_delimiter(self):
+        body = SAMPLE_TIMETABLE.splitlines(keepends=True)
+        for delimiter in (",", "\t"):
+            lines = [line.replace(",", delimiter) for line in body]
+            text = "".join(lines[:2] + [",,,,,,\n", " \t,\t \n"] + lines[2:])
+            assert parse_timetable(text) == parse_timetable(SAMPLE_TIMETABLE)
+
     def test_empty_and_header_only(self):
         assert parse_timetable("") == []
         assert parse_timetable(HEADER) == []
