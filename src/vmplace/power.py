@@ -12,6 +12,7 @@ By default a host with no active VMs draws 0 W (it is switched off); set
 from __future__ import annotations
 
 import math
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
@@ -241,15 +242,25 @@ class EnergyEvaluator:
     become watts only in :meth:`watts_at`, which the load pass,
     :meth:`snapshot_power` and the BFD baseline call.
 
-    Results are memoized by gene tuple, but only for the vectors
-    :meth:`try_energy` or :meth:`feasible` is asked about; a vector memoized
-    as feasible needs no pass in :meth:`first_violation` either. Those calls
-    also keep the vector's record: the current record is kept by reference,
-    and the next pass copies it before changing it, so a later pass never
-    changes a kept record. :meth:`keep_records` drops the ones a caller no
-    longer names as parents; at most ``_RECORD_LIMIT`` are kept in any case.
-    The memo clears when it holds more than ``_CACHE_LIMIT`` vectors or more
-    than ``_CACHE_GENES`` genes, so its size does not grow with the VM count.
+    Results are memoized, but only for the vectors :meth:`try_energy` or
+    :meth:`feasible` is asked about; a vector memoized as feasible needs no
+    pass in :meth:`first_violation` either. The memo's key is the vector
+    packed with :mod:`struct` at one byte per gene up to 256 hosts, two up to
+    65,536 and four beyond, so equal vectors share one entry whether they
+    come as distinct tuples or as a list. A key takes 33 bytes plus the
+    packed genes: 244 B at the lab day's 211 genes where the tuple took
+    1,728 B, and 4,033 B where it took 16,040 B at 2,000 genes on 300 hosts.
+    A tuple is packed once: its key is reused while the same tuple comes
+    back, as it does from :meth:`first_violation` to :meth:`try_energy`.
+    Packing also rejects a gene that is not an int, before a pass starts.
+    Those calls also keep the vector's record, by gene tuple: the current
+    record is kept by reference, and the next pass copies it before changing
+    it, so a later pass never changes a kept record. :meth:`keep_records`
+    drops the ones a caller no longer names as parents; at most
+    ``_RECORD_LIMIT`` are kept in any case. The memo clears when it holds
+    more than ``_CACHE_LIMIT`` vectors or more than ``_CACHE_GENES`` genes,
+    so its packed genes take at most 15 MB at one byte per gene and 30 MB
+    at two, whatever the VM count.
     """
 
     # Slots keep attribute reads fast however many attributes there are: past
@@ -259,7 +270,7 @@ class EnergyEvaluator:
         "idle", "nseg", "seg_len", "host_count", "spans", "cell_runs", "pe", "eff",
         "host_pe", "host_mips", "mips_cap", "tables", "host_class", "_watts",
         "_first_slot", "idle_base", "evaluations", "_cache", "_rec", "_kept",
-        "_records", "parent", "_moved",
+        "_records", "parent", "_moved", "_pack", "_packed", "_packed_key",
     )
 
     _CACHE_LIMIT = 150_000
@@ -313,7 +324,14 @@ class EnergyEvaluator:
         memos: Dict[int, Dict[float, float]] = {}
         self._watts = [memos.setdefault(c, {}) for c in self.host_class]
         self.evaluations = 0
-        self._cache: Dict[Tuple[int, ...], Optional[float]] = {}
+        # Memo keys: every gene in as few bytes as the largest host index needs.
+        width = "B" if m <= 1 << 8 else "H" if m <= 1 << 16 else "I"
+        self._pack = struct.Struct(f"<{len(instance.vms)}{width}").pack
+        # The last tuple packed and its key; callers check for it before
+        # they call _key.
+        self._packed: Optional[Tuple[int, ...]] = None
+        self._packed_key = b""
+        self._cache: Dict[bytes, Optional[float]] = {}
         # The current record, None until a pass succeeds; the first pass
         # builds it empty, so an evaluator that runs no pass (as in BFD)
         # never pays for one. While _kept is set, the current record
@@ -343,37 +361,66 @@ class EnergyEvaluator:
             [0.0] * (cells + 1), [cells] * slots, [-1] * cells,
         )
 
-    def try_energy(self, genes: Tuple[int, ...], cache: bool = True) -> Optional[float]:
+    def try_energy(self, genes: Sequence[int], cache: bool = True) -> Optional[float]:
         """Total joules of the placement, or None if it violates capacity."""
         if cache:
-            val = self._cache.get(genes, _MISS)
+            key = self._packed_key if genes is self._packed else self._key(genes)
+            val = self._cache.get(key, _MISS)
             if val is not _MISS:
                 if val is _FEASIBLE:
                     # Counted when feasible() scored it; only the joules are new.
                     self._violation(genes)
-                    val = self._cache[genes] = self._energy()
+                    val = self._cache[key] = self._energy()
                 return val
+        if type(genes) is not tuple:
+            genes = tuple(genes)
         self.evaluations += 1
         val = None if self._violation(genes) else self._energy()
         if cache:
-            self._remember(genes, val)
+            self._remember(genes, key, val)
         return val
 
-    def feasible(self, genes: Tuple[int, ...]) -> bool:
+    def feasible(self, genes: Sequence[int]) -> bool:
         """Whether the placement fits every host. Memoized and counted as an
         evaluation like :meth:`try_energy`, but sums no joules."""
-        val = self._cache.get(genes, _MISS)
+        key = self._packed_key if genes is self._packed else self._key(genes)
+        val = self._cache.get(key, _MISS)
         if val is _MISS:
+            if type(genes) is not tuple:
+                genes = tuple(genes)
             self.evaluations += 1
             val = None if self._violation(genes) else _FEASIBLE
-            self._remember(genes, val)
+            self._remember(genes, key, val)
         return val is not None
 
-    def _remember(self, genes: Tuple[int, ...], val) -> None:
-        """Memoize ``val`` and keep the record of ``genes``, the current one."""
-        if len(self._cache) > self._CACHE_LIMIT or len(self._cache) * len(genes) > self._CACHE_GENES:
-            self._cache.clear()
-        self._cache[genes] = val
+    def _key(self, genes: Sequence[int]) -> bytes:
+        """The memo key of ``genes``, kept until another tuple is packed when
+        ``genes`` is a tuple. A vector of the wrong length or with a gene that
+        is not an int the key can hold raises ValueError naming it, and drops
+        the pass hints as a failed pass does."""
+        try:
+            key = self._pack(*genes)
+        except struct.error:
+            self.parent = None
+            self._moved = None
+            n, m = len(self.spans), self.host_count
+            if len(genes) != n:
+                raise ValueError(f"{len(genes)} genes for {n} VMs") from None
+            # The key holds every int in 0..m-1, so some gene is not one.
+            i, g = next((i, g) for i, g in enumerate(genes) if not (isinstance(g, int) and 0 <= g < m))
+            raise ValueError(f"gene {i}: host index {g!r} is not an int in 0..{m - 1}") from None
+        if type(genes) is tuple:
+            self._packed = genes
+            self._packed_key = key
+        return key
+
+    def _remember(self, genes: Tuple[int, ...], key: bytes, val) -> None:
+        """Memoize ``val`` under ``key``, the key of ``genes``, and keep the
+        record of ``genes``, the current one."""
+        cache = self._cache
+        if len(cache) > self._CACHE_LIMIT or len(cache) * len(genes) > self._CACHE_GENES:
+            cache.clear()
+        cache[key] = val
         records = self._records
         if len(records) >= self._RECORD_LIMIT:
             records.clear()
@@ -428,9 +475,9 @@ class EnergyEvaluator:
                 rec, kept = base, True
         moved = self._moved
         self._moved = None
+        if genes is not self._packed:
+            self._key(genes)  # every gene is an int, and there is one per VM
         n = len(self.spans)
-        if len(genes) != n:
-            raise ValueError(f"{len(genes)} genes for {n} VMs")
         if rec is None:
             # The first pass moves every VM from the empty record (host -1).
             old: Sequence[int] = (-1,) * n
@@ -569,10 +616,10 @@ class EnergyEvaluator:
 
     def first_violation(self, genes) -> Optional[Tuple[int, int]]:
         """Earliest (segment_index, host_index) where capacity is exceeded."""
-        key = genes if type(genes) is tuple else tuple(genes)
+        key = self._packed_key if genes is self._packed else self._key(genes)
         if self._cache.get(key) is not None:
             return None
-        return self._violation(key)
+        return self._violation(genes)
 
     def host_vms(self, host_idx: int, genes, seg: Optional[int] = None) -> List[int]:
         """Ascending indices of the VMs that ``genes`` place on ``host_idx``,

@@ -99,11 +99,10 @@ def fitness(chromosome: Sequence[int], ev: EnergyEvaluator, config: GaConfig) ->
     """Reciprocal of total energy (joules), or of aggregate watts at the peak
     instant in snapshot mode, as ``ev`` scores them. Higher is better. The
     chromosome must already be feasible (repair first)."""
-    genes = tuple(chromosome)
     if config.fitness_mode == FITNESS_SNAPSHOT_POWER:
-        score = ev.snapshot_power(genes) if ev.feasible(genes) else None
+        score = ev.snapshot_power(chromosome) if ev.feasible(chromosome) else None
     else:
-        score = ev.try_energy(genes)
+        score = ev.try_energy(chromosome)
     if score is None:
         raise ValueError("fitness of an infeasible chromosome; repair it first")
     return 1.0 / score
@@ -119,9 +118,11 @@ def select_parents(
         raise ValueError("empty population")
     cumulative = list(accumulate(fitnesses))
     total = cumulative[-1]
+    # Searching below the last index picks the last individual when rounding
+    # puts a draw at or past the total.
     last = len(population) - 1
-    first = population[min(bisect_right(cumulative, rng.random() * total), last)]
-    return first, population[min(bisect_right(cumulative, rng.random() * total), last)]
+    first = population[bisect_right(cumulative, rng.random() * total, 0, last)]
+    return first, population[bisect_right(cumulative, rng.random() * total, 0, last)]
 
 
 def crossover(

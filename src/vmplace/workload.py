@@ -130,59 +130,62 @@ def parse_timetable(source) -> List[TimetableRow]:
     """Parse timetable rows from a string or file object.
 
     Rows come back in file order. The first malformed row raises
-    :class:`ParseError` with its 1-based line number.
+    :class:`ParseError` with the 1-based line number it starts on.
     """
     text = source.read() if hasattr(source, "read") else source
+    lines = list(io.StringIO(text))
     # A line of only whitespace, commas and tabs is blank: no delimiter, no row.
-    lines = [line if line.replace(",", "").strip() else "\n" for line in io.StringIO(text)]
-    first = next((line for line in lines if line != "\n"), None)
-    if first is None:
+    blank = [not line.replace(",", "").strip() for line in lines]
+    if all(blank):
         return []
-    delimiter = "\t" if "\t" in first else ","
-    reader = csv.reader(lines, delimiter=delimiter)
+    delimiter = "\t" if "\t" in lines[blank.index(False)] else ","
     rows: List[TimetableRow] = []
     mask_len: Optional[int] = None
     header_seen = False
+    reader = csv.reader(lines, delimiter=delimiter)
+    start = 0  # lines read before the current record
     try:
-        records = list(reader)
+        for fields in reader:
+            # A record that starts on a blank line is that line alone; a
+            # blank line inside a quoted field keeps its characters.
+            lineno, start = start + 1, reader.line_num
+            if blank[lineno - 1]:
+                continue
+            fields = [f.strip() for f in fields]
+            if not header_seen:
+                if tuple(f.lower() for f in fields) != TIMETABLE_HEADER:
+                    raise ParseError(lineno, f"bad header {fields!r}, expected {','.join(TIMETABLE_HEADER)}")
+                header_seen = True
+                continue
+            if len(fields) != len(TIMETABLE_HEADER):
+                raise ParseError(lineno, f"expected {len(TIMETABLE_HEADER)} fields, got {len(fields)}")
+            day_s, subject, class_id, group_id, students_s, mask, duration_s = fields
+            try:
+                day = int(day_s)
+                students = int(students_s)
+                duration = int(duration_s)
+            except ValueError as exc:
+                raise ParseError(lineno, f"non-integer numeric field: {exc}") from exc
+            if day < 0:
+                raise ParseError(lineno, f"day must be >= 0, got {day}")
+            if students < 1:
+                raise ParseError(lineno, f"students must be >= 1, got {students}")
+            if duration < 1:
+                raise ParseError(lineno, f"duration_s must be >= 1, got {duration}")
+            if not mask or not set(mask) <= _MASK_CHARS:
+                raise ParseError(lineno, f"slot_mask {mask!r} has characters outside 0-9 and '-'")
+            occupied = [i for i, ch in enumerate(mask) if ch != "-"]
+            if not occupied:
+                raise ParseError(lineno, f"slot_mask {mask!r} marks no occupied slot")
+            if occupied[-1] - occupied[0] + 1 != len(occupied):
+                raise ParseError(lineno, f"slot_mask {mask!r} is not a contiguous run")
+            if mask_len is None:
+                mask_len = len(mask)
+            elif len(mask) != mask_len:
+                raise ParseError(lineno, f"slot_mask length {len(mask)} differs from {mask_len}")
+            rows.append(TimetableRow(day, subject, class_id, group_id, students, mask, duration))
     except csv.Error as exc:
-        raise ParseError(reader.line_num, str(exc)) from exc
-    for lineno, fields in enumerate(records, start=1):
-        if not fields:
-            continue
-        fields = [f.strip() for f in fields]
-        if not header_seen:
-            if tuple(f.lower() for f in fields) != TIMETABLE_HEADER:
-                raise ParseError(lineno, f"bad header {fields!r}, expected {','.join(TIMETABLE_HEADER)}")
-            header_seen = True
-            continue
-        if len(fields) != len(TIMETABLE_HEADER):
-            raise ParseError(lineno, f"expected {len(TIMETABLE_HEADER)} fields, got {len(fields)}")
-        day_s, subject, class_id, group_id, students_s, mask, duration_s = fields
-        try:
-            day = int(day_s)
-            students = int(students_s)
-            duration = int(duration_s)
-        except ValueError as exc:
-            raise ParseError(lineno, f"non-integer numeric field: {exc}") from exc
-        if day < 0:
-            raise ParseError(lineno, f"day must be >= 0, got {day}")
-        if students < 1:
-            raise ParseError(lineno, f"students must be >= 1, got {students}")
-        if duration < 1:
-            raise ParseError(lineno, f"duration_s must be >= 1, got {duration}")
-        if not mask or not set(mask) <= _MASK_CHARS:
-            raise ParseError(lineno, f"slot_mask {mask!r} has characters outside 0-9 and '-'")
-        occupied = [i for i, ch in enumerate(mask) if ch != "-"]
-        if not occupied:
-            raise ParseError(lineno, f"slot_mask {mask!r} marks no occupied slot")
-        if occupied[-1] - occupied[0] + 1 != len(occupied):
-            raise ParseError(lineno, f"slot_mask {mask!r} is not a contiguous run")
-        if mask_len is None:
-            mask_len = len(mask)
-        elif len(mask) != mask_len:
-            raise ParseError(lineno, f"slot_mask length {len(mask)} differs from {mask_len}")
-        rows.append(TimetableRow(day, subject, class_id, group_id, students, mask, duration))
+        raise ParseError(start + 1, str(exc)) from exc
     return rows
 
 

@@ -9,6 +9,7 @@ every answer with ``==`` against an evaluator built fresh for each step.
 """
 
 import random
+import struct
 
 import pytest
 
@@ -323,21 +324,29 @@ class TestMovingRecord:
         inst = _spanning_instance()
         walker = EnergyEvaluator(inst)
         genes = [0, 1, 0, 1, 0, 1]
+        entry_points = (
+            lambda ev, bad: ev.first_violation(bad),
+            lambda ev, bad: ev.try_energy(tuple(bad)),
+            lambda ev, bad: ev.feasible(tuple(bad)),
+        )
+        # Genes that are not ints fail before the pass moves any VM, also
+        # where they equal the current gene (1.0 == 1).
+        not_ints = ([1.0, 1, 0, 1, 0, 1], [0, 1, "3", 1, 0, 1], [0, 1, 0, 1, None, 1], [0, 1.0, 0, 1, 0, 1])
         self._check_step(walker, inst, genes)
-        for bad in ([0, 1, 0, 3, 0, 1], [2, 1, 0, 1, 0, -1], [0, 1, 0]):
-            with pytest.raises(ValueError):
-                walker.first_violation(bad)
-            self._check_step(walker, inst, genes)
+        for bad in ([0, 1, 0, 3, 0, 1], [2, 1, 0, 1, 0, -1], [0, 1, 0]) + not_ints:
+            for entry in entry_points:
+                with pytest.raises(ValueError):
+                    entry(walker, bad)
+                self._check_step(walker, inst, genes)
         self._check_step(walker, inst, [2, 2, 2, 2, 2, 2])
         # A fresh evaluator has no VM placed; its first pass must still check
         # every gene, and a failed first pass leaves it fresh.
-        for bad in ([0, 1, -1, 1, 0, 1], [-1] * 6, [0, 1, 0, 3, 0, 1]):
+        for bad in ([0, 1, -1, 1, 0, 1], [-1] * 6, [0, 1, 0, 3, 0, 1]) + not_ints:
             fresh = EnergyEvaluator(inst)
             for _ in range(2):
-                with pytest.raises(ValueError):
-                    fresh.first_violation(bad)
-                with pytest.raises(ValueError):
-                    fresh.try_energy(tuple(bad))
+                for entry in entry_points:
+                    with pytest.raises(ValueError):
+                        entry(fresh, bad)
             self._check_step(fresh, inst, genes)
 
     def test_exact_fill_walk_keeps_the_boundary(self):
@@ -456,6 +465,67 @@ class TestKeptRecords:
             genes = tuple(code // 3**i % 3 for i in range(6))
             ev.feasible(genes)
             assert len(ev._records) <= ev._RECORD_LIMIT
+
+
+class TestMemoKeys:
+    """The memo is keyed by the packed genes: one entry per vector, however
+    it is passed, at two bytes per gene past 256 hosts."""
+
+    def _wide_instance(self):
+        # 300 hosts, so host indices need two bytes; 3-PE VMs overload a
+        # 4-core IBM host when two of them overlap there.
+        hosts = tuple(ibm_host(h) if h % 2 else dell_host(h) for h in range(300))
+        vms = tuple(VmRequest(f"w{i}", 3, 2000.0, 10 * i, 10 * i + 25) for i in range(6))
+        return ProblemInstance(vms, hosts)
+
+    def _vectors(self, inst, count):
+        rng = random.Random(41)
+        hosts = (0, 1, 254, 255, 256, 257, 298, 299)
+        return [tuple(rng.choice(hosts) for _ in inst.vms) for _ in range(count)]
+
+    @staticmethod
+    def _assert_keys(ev, inst, width):
+        for key in ev._cache:
+            assert type(key) is bytes and len(key) == len(inst.vms) * width
+
+    def test_equal_vectors_share_one_entry_and_one_evaluation(self):
+        inst = self._wide_instance()
+        for genes in self._vectors(inst, 12):
+            ev = EnergyEvaluator(inst)
+            energy = ev.try_energy(genes)
+            assert ev.try_energy(tuple(list(genes))) == energy
+            assert ev.try_energy(list(genes)) == energy
+            assert ev.feasible(list(genes)) is (energy is not None)
+            assert ev.first_violation(list(genes)) == _expected_violation(inst, genes)
+            assert len(ev._cache) == 1 and ev.evaluations == 1
+            self._assert_keys(ev, inst, 2)
+
+    def test_wide_genes_round_trip_and_match_fresh_evaluators(self):
+        inst = self._wide_instance()
+        vectors = self._vectors(inst, 40)
+        assert any(g >= 256 for genes in vectors for g in genes)
+        for idle in (False, True):
+            ev = EnergyEvaluator(inst, idle)
+            feasible = 0
+            for genes in vectors + vectors[::-1]:
+                expected = _expected_violation(inst, genes)
+                energy = ev.try_energy(genes)
+                assert energy == EnergyEvaluator(inst, idle).try_energy(genes)
+                assert ev.first_violation(genes) == expected
+                assert (energy is None) == (expected is not None)
+                feasible += energy is not None
+            assert 0 < feasible < 2 * len(vectors)
+            assert len(ev._cache) == len(set(vectors)) == ev.evaluations
+            self._assert_keys(ev, inst, 2)
+            assert {struct.unpack(f"<{len(inst.vms)}H", key) for key in ev._cache} == set(vectors)
+
+    def test_one_byte_per_gene_up_to_256_hosts(self):
+        inst = _spanning_instance()
+        ev = EnergyEvaluator(inst)
+        for code in range(3**6):
+            ev.feasible(tuple(code // 3**i % 3 for i in range(6)))
+        assert len(ev._cache) == 3**6
+        self._assert_keys(ev, inst, 1)
 
 
 class TestMoves:

@@ -245,8 +245,8 @@ class TestGapa:
         alive = []
         remember = EnergyEvaluator._remember
 
-        def counted(ev, genes, val):
-            remember(ev, genes, val)
+        def counted(ev, *args):
+            remember(ev, *args)
             alive.append(len(ev._records))
 
         monkeypatch.setattr(EnergyEvaluator, "_remember", counted)

@@ -64,6 +64,33 @@ class TestParseTimetable:
             text = "".join(lines[:2] + [",,,,,,\n", " \t,\t \n"] + lines[2:])
             assert parse_timetable(text) == parse_timetable(SAMPLE_TIMETABLE)
 
+    def test_blank_lines_inside_a_quoted_field_keep_their_characters(self):
+        for delimiter in (",", "\t"):
+            row = '1,"Lab\n, ,\n\t\nSession",c,g,2,1--------------,2700\n'.replace(",", delimiter)
+            (parsed,) = parse_timetable(HEADER.replace(",", delimiter) + row)
+            assert parsed.subject == f"Lab\n{delimiter} {delimiter}\n\t\nSession"
+            assert parsed.class_id == "c"
+
+    def test_quoted_blank_cells_are_a_short_row(self):
+        with pytest.raises(ParseError) as exc:
+            parse_timetable(HEADER + '"",""\n')
+        assert exc.value.line == 2
+
+    def test_errors_name_the_line_a_row_starts_on(self):
+        text = (
+            HEADER
+            + '1,"Lab\nSession",c,g,2,1--------------,2700\n'
+            + "\n"
+            + "1,s,c,g,two,1--------------,2700\n"
+            + "1,s,c,g,2,1--------------,2700\n"
+        )
+        with pytest.raises(ParseError) as exc:
+            parse_timetable(text)
+        assert exc.value.line == 5
+        with pytest.raises(ParseError) as exc:
+            parse_timetable(HEADER + '1,"Lab\nSession",c,g,2,1--------------\n')
+        assert exc.value.line == 2
+
     def test_empty_and_header_only(self):
         assert parse_timetable("") == []
         assert parse_timetable(HEADER) == []
