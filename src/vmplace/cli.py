@@ -113,16 +113,13 @@ class ExperimentConfig:
 
 @dataclass
 class RunRecord:
-    """One solver run (or a per-grid-point aggregate over seeds)."""
+    """One solver run, or a grid point's mean or min over its seeds. ``config``
+    is a GA run's own settings, or an aggregate's grid point (its report row
+    leaves the seed empty); BFD and EXACT rows have none."""
 
     solver: str
     aggregate: str = ""  # "", "mean" or "min"
-    population: Optional[int] = None
-    generations: Optional[int] = None
-    crossover: Optional[float] = None
-    mutation: Optional[float] = None
-    fitness: Optional[str] = None
-    seed: Optional[int] = None
+    config: Optional[GaConfig] = None
     status: str = "ok"
     total_kwh: Optional[float] = None
     hosts_used: Optional[int] = None
@@ -134,23 +131,16 @@ class RunRecord:
 
 
 def _record_from_result(solver: str, result: SolveResult, cfg: Optional[GaConfig]) -> RunRecord:
-    used = sum(1 for kwh in result.energy.per_host.values() if kwh > 0.0)
-    rec = RunRecord(
+    per_host = result.energy.per_host
+    return RunRecord(
         solver=solver,
+        config=cfg,
         total_kwh=result.energy.total_kwh,
-        hosts_used=used,
-        per_host_kwh={h: j * KWH_PER_JOULE for h, j in result.energy.per_host.items() if j > 0.0},
+        hosts_used=sum(1 for kwh in per_host.values() if kwh > 0.0),
+        per_host_kwh={h: j * KWH_PER_JOULE for h, j in per_host.items() if j > 0.0},
+        trajectory=tuple(result.stats.get("trajectory", ())),
         placement=result.placement,
     )
-    if cfg is not None:
-        rec.population = cfg.population_size
-        rec.generations = cfg.generations
-        rec.crossover = cfg.crossover_prob
-        rec.mutation = cfg.mutation_prob
-        rec.fitness = cfg.fitness_mode
-        rec.seed = cfg.seed
-        rec.trajectory = tuple(result.stats.get("trajectory", ()))
-    return rec
 
 
 def build_instance(config: ExperimentConfig) -> ProblemInstance:
@@ -176,53 +166,34 @@ def run_experiment(config: ExperimentConfig) -> List[RunRecord]:
     BFD runs once (it is deterministic); GAPA runs per (grid point x seed)
     followed by that grid point's mean and min aggregates; EXACT runs once if
     its enumeration budget allows, else yields a budget_exceeded record.
+    When BFD ran, every row with a kWh then gets its ratio to BFD's.
     """
     instance = build_instance(config)
+    idle = config.idle_hosts_powered
     records: List[RunRecord] = []
-    bfd_kwh: Optional[float] = None
     if SOLVER_BFD in config.solvers:
-        result = bfd_schedule(instance, config.idle_hosts_powered)
-        rec = _record_from_result(SOLVER_BFD, result, None)
-        rec.ratio_vs_bfd = 1.0
-        bfd_kwh = rec.total_kwh
-        records.append(rec)
+        records.append(_record_from_result(SOLVER_BFD, bfd_schedule(instance, idle), None))
     if SOLVER_GAPA in config.solvers:
         for point in config.ga_grid:
-            point_records: List[RunRecord] = []
-            for seed in config.seeds:
-                cfg = replace(point, seed=seed)
-                result = gapa_schedule(instance, cfg, config.idle_hosts_powered)
-                rec = _record_from_result(SOLVER_GAPA, result, cfg)
-                if bfd_kwh is not None:
-                    rec.ratio_vs_bfd = bfd_kwh / rec.total_kwh
-                point_records.append(rec)
-            records.extend(point_records)
-            for how in ("mean", "min"):
-                vals = [r.total_kwh for r in point_records]
-                agg_kwh = ordered_sum(vals) / len(vals) if how == "mean" else min(vals)
-                agg = RunRecord(
-                    solver=SOLVER_GAPA,
-                    aggregate=how,
-                    population=point.population_size,
-                    generations=point.generations,
-                    crossover=point.crossover_prob,
-                    mutation=point.mutation_prob,
-                    fitness=point.fitness_mode,
-                    total_kwh=agg_kwh,
-                )
-                if bfd_kwh is not None:
-                    agg.ratio_vs_bfd = bfd_kwh / agg_kwh
-                records.append(agg)
+            cfgs = [replace(point, seed=seed) for seed in config.seeds]
+            runs = [_record_from_result(SOLVER_GAPA, gapa_schedule(instance, c, idle), c) for c in cfgs]
+            kwh = [r.total_kwh for r in runs]
+            records += runs
+            records.append(RunRecord(SOLVER_GAPA, "mean", point, total_kwh=ordered_sum(kwh) / len(kwh)))
+            records.append(RunRecord(SOLVER_GAPA, "min", point, total_kwh=min(kwh)))
     if SOLVER_EXACT in config.solvers:
         try:
-            result = exact_schedule(instance, config.exact_budget, config.idle_hosts_powered)
+            result = exact_schedule(instance, config.exact_budget, idle)
         except BudgetExceededError:
-            records.append(RunRecord(solver=SOLVER_EXACT, status="budget_exceeded"))
+            records.append(RunRecord(SOLVER_EXACT, status="budget_exceeded"))
         else:
-            rec = _record_from_result(SOLVER_EXACT, result, None)
-            if bfd_kwh is not None:
+            records.append(_record_from_result(SOLVER_EXACT, result, None))
+    if SOLVER_BFD in config.solvers:
+        # BFD's row comes first; its own ratio is exactly 1.0.
+        bfd_kwh = records[0].total_kwh
+        for rec in records:
+            if rec.total_kwh is not None:
                 rec.ratio_vs_bfd = bfd_kwh / rec.total_kwh
-            records.append(rec)
     return records
 
 
@@ -235,15 +206,15 @@ def _fmt(value: Optional[float]) -> str:
 
 
 def _record_to_row(rec: RunRecord) -> List[str]:
+    cfg = rec.config
+    ga = [""] * 6
+    if cfg is not None:
+        ga = [str(cfg.population_size), str(cfg.generations), f"{cfg.crossover_prob:g}"]
+        ga += [f"{cfg.mutation_prob:g}", cfg.fitness_mode, "" if rec.aggregate else str(cfg.seed)]
     return [
         rec.solver,
         rec.aggregate,
-        "" if rec.population is None else str(rec.population),
-        "" if rec.generations is None else str(rec.generations),
-        "" if rec.crossover is None else f"{rec.crossover:g}",
-        "" if rec.mutation is None else f"{rec.mutation:g}",
-        rec.fitness or "",
-        "" if rec.seed is None else str(rec.seed),
+        *ga,
         rec.status,
         _fmt(rec.total_kwh),
         "" if rec.hosts_used is None else str(rec.hosts_used),
@@ -274,9 +245,10 @@ def emit_report(records: Sequence[RunRecord], output_format: str, sink) -> None:
 
 
 def _run_id(rec: RunRecord) -> str:
-    if rec.solver != SOLVER_GAPA:
+    cfg = rec.config
+    if cfg is None:
         return rec.solver
-    return f"gapa-g{rec.generations}-c{rec.crossover:g}-s{rec.seed}"
+    return f"{rec.solver}-g{cfg.generations}-c{cfg.crossover_prob:g}-s{cfg.seed}"
 
 
 def write_placement(placement: Placement, sink) -> None:
@@ -457,9 +429,6 @@ def cmd_validate(args) -> int:
     instance = build_instance(config)
     with open(args.placement) as fh:
         placement = read_placement(fh)
-    missing = [v.id for v in instance.vms if v.id not in placement]
-    if missing:
-        raise ConfigError(f"placement misses {len(missing)} VMs, e.g. {missing[:3]}")
     report = integrate_energy(placement, instance, config.idle_hosts_powered)
     print(f"feasible; total {report.total_kwh:.6f} kWh over {instance.horizon} s")
     return EXIT_OK

@@ -236,11 +236,11 @@ class EnergyEvaluator:
     :attr:`parent` when that is set and kept (and clears it), otherwise from
     the current record. A search that builds a vector with :meth:`move`
     names the VMs it moved, so the pass of that vector visits only them.
-    :meth:`first_violation`, :meth:`fits`, :meth:`fits_all`,
-    :meth:`host_vms`, :meth:`try_energy` and :meth:`snapshot_power` read the
-    current record, making it first when asked about other genes. Loads
-    become watts only in :meth:`watts_at`, which the load pass,
-    :meth:`snapshot_power` and the BFD baseline call.
+    :meth:`first_violation`, :meth:`fits`, :meth:`host_vms`,
+    :meth:`try_energy` and :meth:`snapshot_power` read the current record,
+    making it first when asked about other genes. Loads become watts only in
+    :meth:`watts_at`, which the load pass, :meth:`snapshot_power` and the BFD
+    baseline call.
 
     Results are memoized, but only for the vectors :meth:`try_energy` or
     :meth:`feasible` is asked about; a vector memoized as feasible needs no
@@ -635,14 +635,10 @@ class EnergyEvaluator:
             on.update(vms_at[off + host_idx])
         return sorted(on)
 
-    def fits(self, vm_idx: int, host_idx: int, genes) -> bool:
-        """Would assigning VM ``vm_idx`` to ``host_idx`` keep that host feasible,
-        given every other VM's current gene?"""
-        return self.fits_all((vm_idx,), host_idx, genes)
-
-    def fits_all(self, vms: Sequence[int], host_idx: int, genes) -> bool:
-        """Would assigning every VM in ``vms`` to ``host_idx`` keep that host
-        feasible, given every other VM's current gene?
+    def fits(self, vms: Sequence[int], host_idx: int, genes) -> bool:
+        """Would assigning every VM in ``vms`` (indices; one VM is ``(i,)``) to
+        ``host_idx`` keep that host feasible, given every other VM's current
+        gene?
 
         Only the segments the moved VMs span are checked.
         """

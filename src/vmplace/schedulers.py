@@ -110,13 +110,13 @@ def fitness(chromosome: Sequence[int], ev: EnergyEvaluator, config: GaConfig) ->
 
 def select_parents(
     population: Sequence[Genes],
-    fitnesses: Sequence[float],
+    cumulative: Sequence[float],
     rng: random.Random,
 ) -> Tuple[Genes, Genes]:
-    """Two independent roulette-wheel draws (may return the same individual twice)."""
+    """Two independent roulette-wheel draws (may return the same individual
+    twice) on ``cumulative``, the running sums of the fitnesses."""
     if not population:
         raise ValueError("empty population")
-    cumulative = list(accumulate(fitnesses))
     total = cumulative[-1]
     # Searching below the last index picks the last individual when rounding
     # puts a draw at or past the total.
@@ -177,7 +177,7 @@ def move_host(c: Genes, prob: float, ev: EnergyEvaluator, rng: random.Random) ->
         if target >= h:
             target += 1
         moved = ev.host_vms(h, genes)
-        if moved and ev.fits_all(moved, target, genes):
+        if moved and ev.fits(moved, target, genes):
             genes = ev.move(genes, moved, target)
     return genes
 
@@ -214,7 +214,7 @@ def repair(c: Sequence[int], ev: EnergyEvaluator, rng: random.Random) -> Genes:
         vm = contributors[-1] if moves < stall else rng.choice(contributors)
         placed = False
         for h2 in range(m):
-            if h2 != host and ev.fits(vm, h2, genes):
+            if h2 != host and ev.fits((vm,), h2, genes):
                 candidate = ev.move(genes, (vm,), h2)
                 if candidate not in seen:
                     genes = candidate
@@ -384,8 +384,9 @@ def gapa_schedule(
     for _generation in range(config.generations):
         new_pop = [population[top]]
         new_fit = [fitnesses[top]]
+        wheel = list(accumulate(fitnesses))
         while len(new_pop) < size:
-            p1, p2 = select_parents(population, fitnesses, rng)
+            p1, p2 = select_parents(population, wheel, rng)
             c1, c2 = crossover(p1, p2, p_cross, rng)
             for child, parent in ((c1, p1), (c2, p2)):
                 if len(new_pop) >= size:

@@ -31,6 +31,30 @@ FIVE_VM_TIMETABLE = (
 )
 
 
+#: Two three-student sessions that overlap in one slot, on three hosts: small
+#: enough (3 ** 6 assignments) for the exact oracle to finish.
+TINY_TIMETABLE = (
+    "day,subject,class_id,group_id,students,slot_mask,duration_s\n"
+    "6,1,C1,G1,3,12-,5400\n"
+    "6,2,C2,G1,3,-23,5400\n"
+)
+TINY_FLEET = {"entries": [{"model": "ibm_x3250", "count": 2}, {"model": "dell_r620", "count": 1}]}
+
+#: ``experiment --solvers bfd,gapa,exact`` on the tiny instance, seeds 1 and 2.
+TINY_THREE_SOLVER_REPORT = (
+    "solver,aggregate,population,generations,crossover,mutation,fitness,seed,status,"
+    "total_kwh,hosts_used,ratio_vs_bfd,per_host_kwh,trajectory\n"
+    "bfd,,,,,,,,ok,0.263275,2,1.000000,0:0.167983;1:0.095292,\n"
+    "gapa,,10,3,0.5,0.01,energy,1,ok,0.319710,2,0.823480,0:0.125048;2:0.194662,"
+    "8.0948729822e-07;8.53910700643e-07;8.53910700643e-07;8.68841756164e-07\n"
+    "gapa,,10,3,0.5,0.01,energy,2,ok,0.263275,2,1.000000,0:0.167983;1:0.095292,"
+    "1.05508518829e-06;1.05508518829e-06;1.05508518829e-06;1.05508518829e-06\n"
+    "gapa,mean,10,3,0.5,0.01,energy,,ok,0.291493,,0.903196,,\n"
+    "gapa,min,10,3,0.5,0.01,energy,,ok,0.263275,,1.000000,,\n"
+    "exact,,,,,,,,ok,0.219656,1,1.198578,2:0.219656,\n"
+)
+
+
 def _fleet_json(samples):
     """A fleet of two 16-PE hosts whose power curve is ``samples``."""
     return json.dumps(
@@ -115,12 +139,25 @@ class TestRunExperiment:
         # 1 BFD + per grid point: 2 seed runs + mean + min.
         assert len(records) == 1 + 2 * (2 + 2)
         gapa = [r for r in records if r.solver == "gapa" and not r.aggregate]
-        assert [r.seed for r in gapa] == [1, 2, 1, 2]
+        assert [r.config.seed for r in gapa] == [1, 2, 1, 2]
         aggs = [r for r in records if r.aggregate]
         assert [a.aggregate for a in aggs] == ["mean", "min", "mean", "min"]
+        assert [a.config for a in aggs] == [config.ga_grid[0]] * 2 + [config.ga_grid[1]] * 2
+        report = io.StringIO()
+        emit_report(aggs, "csv", report)
+        assert [row["seed"] for row in csv.DictReader(io.StringIO(report.getvalue()))] == [""] * 4
         for agg in aggs:
-            assert agg.seed is None
             assert agg.ratio_vs_bfd == pytest.approx(records[0].total_kwh / agg.total_kwh)
+
+    def test_gapa_without_bfd_has_no_ratio(self):
+        records = run_experiment(small_config(solvers=("gapa",), seeds=(1, 2)))
+        assert [(r.solver, r.aggregate) for r in records] == [
+            ("gapa", ""),
+            ("gapa", ""),
+            ("gapa", "mean"),
+            ("gapa", "min"),
+        ]
+        assert all(r.ratio_vs_bfd is None for r in records)
 
     def test_bfd_record_independent_of_grid(self):
         r1 = run_experiment(small_config())[0]
@@ -259,6 +296,23 @@ class TestMain:
         assert [r["solver"] for r in rows] == ["bfd", "gapa", "gapa", "gapa", "gapa"]
         assert [r["aggregate"] for r in rows] == ["", "", "", "mean", "min"]
 
+    def test_three_solver_report_is_pinned(self, tmp_path, monkeypatch):
+        """The report of all three solvers, with the exact row's ratio and the
+        aggregates' empty seed cells, and the placement file of every run."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tiny.csv").write_text(TINY_TIMETABLE)
+        (tmp_path / "tiny.json").write_text(json.dumps(TINY_FLEET))
+        argv = ["experiment", "--solvers", "bfd,gapa,exact", "--workload", "tiny.csv", "--fleet", "tiny.json"]
+        argv += ["--generations", "3", "--crossover", "0.5", "--seed", "1", "--seed", "2"]
+        assert main(argv + ["--out", "r.csv", "--dump-placements"]) == EXIT_OK
+        assert (tmp_path / "r.csv").read_text() == TINY_THREE_SOLVER_REPORT
+        assert sorted(p.name for p in tmp_path.glob("*.placement")) == [
+            "r.bfd.placement",
+            "r.exact.placement",
+            "r.gapa-g3-c0.5-s1.placement",
+            "r.gapa-g3-c0.5-s2.placement",
+        ]
+
     def test_experiment_deterministic_output(self, tmp_path):
         args = [
             "experiment",
@@ -366,6 +420,11 @@ class TestMain:
                 EXIT_CONFIG,
                 id="validate-placement-names-a-vm-twice",
             ),
+            pytest.param(
+                ["validate", "--workload", "five.csv", "--placement", "five-missing.placement"],
+                EXIT_CONFIG,
+                id="validate-placement-misses-a-vm",
+            ),
         ],
     )
     def test_exit_code_matrix(self, argv, expected, tmp_path, monkeypatch, capsys):
@@ -410,6 +469,7 @@ class TestMain:
             "five.placement": "".join(f"C1-G1-00{i},0\n" for i in range(1, 6)),
             # The later line for C1-G1-001 would hide the first one.
             "five-twice.placement": "C1-G1-001,99\n" + "".join(f"C1-G1-00{i},0\n" for i in range(1, 6)),
+            "five-missing.placement": "".join(f"C1-G1-00{i},0\n" for i in range(1, 5)),
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)

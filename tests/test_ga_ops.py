@@ -4,6 +4,7 @@ import collections
 import math
 import random
 import types
+from itertools import accumulate
 
 import pytest
 
@@ -60,12 +61,12 @@ class TestSelectParents:
     def test_roulette_is_fitness_proportional(self):
         rng = random.Random(1)
         population = [(0,), (1,)]
-        fitnesses = [9.0, 1.0]
+        wheel = list(accumulate([9.0, 1.0]))
         draws = 20000
         hits = sum(
             1
             for _ in range(draws)
-            for p in select_parents(population, fitnesses, rng)
+            for p in select_parents(population, wheel, rng)
             if p == (0,)
         )
         assert hits / (2 * draws) == pytest.approx(0.9, abs=0.02)
@@ -75,10 +76,10 @@ class TestSelectParents:
 
         rng = random.Random(2)
         population = [(i,) for i in range(5)]
-        fitnesses = [3.0] * 5
+        wheel = list(accumulate([3.0] * 5))
         counts = [0] * 5
         for _ in range(10000):
-            a, b = select_parents(population, fitnesses, rng)
+            a, b = select_parents(population, wheel, rng)
             counts[a[0]] += 1
             counts[b[0]] += 1
         _stat, p_value = chisquare(counts)
@@ -93,7 +94,7 @@ class TestSelectParents:
         population = [(0,), (1,)]
         seen_same = any(
             a == b
-            for a, b in (select_parents(population, [1.0, 1.0], rng) for _ in range(50))
+            for a, b in (select_parents(population, [1.0, 2.0], rng) for _ in range(50))
         )
         assert seen_same
 
@@ -384,9 +385,9 @@ class TestRngDraws:
         draws, crossovers = [], []
         select, cross = vmplace.schedulers.select_parents, vmplace.schedulers.crossover
 
-        def counted_select(population, fitnesses, rng):
+        def counted_select(population, cumulative, rng):
             before = rng.counts["random"]
-            pair = select(population, fitnesses, rng)
+            pair = select(population, cumulative, rng)
             draws.append(rng.counts["random"] - before)
             return pair
 

@@ -67,12 +67,12 @@ def _check_all(ev, inst, genes):
         assert energy is None
     for i in range(len(inst.vms)):
         for h in range(len(inst.hosts)):
-            assert ev.fits(i, h, genes) == _recount_fits(inst, {i}, h, genes), (i, h)
+            assert ev.fits((i,), h, genes) == _recount_fits(inst, {i}, h, genes), (i, h)
     for src in range(len(inst.hosts)):
         moved = [i for i, g in enumerate(genes) if g == src]
         for h in range(len(inst.hosts)):
             if h != src:
-                assert ev.fits_all(moved, h, genes) == _recount_fits(inst, set(moved), h, genes)
+                assert ev.fits(moved, h, genes) == _recount_fits(inst, set(moved), h, genes)
 
 
 def _exact_fill_instance():
@@ -147,8 +147,8 @@ class TestAgainstReference:
         inst = _exact_fill_instance()
         ev = EnergyEvaluator(inst)
         assert ev.first_violation((0,) * 8 + (1,)) is None
-        assert ev.fits(8, 1, (0,) * 9)
-        assert not ev.fits(8, 0, (0,) * 8 + (1,))
+        assert ev.fits((8,), 1, (0,) * 9)
+        assert not ev.fits((8,), 0, (0,) * 8 + (1,))
         # The overflow is in [50, 100), the second segment, on host 0.
         assert ev.first_violation((0,) * 9) == (1, 0)
 
@@ -158,7 +158,7 @@ class TestAgainstReference:
         inst = ProblemInstance(vms, (HostSpec(0, 2, 0.15, IBM_X3250),))
         ev = EnergyEvaluator(inst)
         assert ev.first_violation((0, 0)) is None
-        assert ev.fits(1, 0, (0, 0))
+        assert ev.fits((1,), 0, (0, 0))
         _check_all(ev, inst, (0, 0))
 
 
@@ -169,7 +169,7 @@ class TestLastPassRecord:
     def _answers(self, ev, inst, genes):
         return (
             ev.first_violation(genes),
-            [ev.fits(i, h, genes) for i in range(len(inst.vms)) for h in range(len(inst.hosts))],
+            [ev.fits((i,), h, genes) for i in range(len(inst.vms)) for h in range(len(inst.hosts))],
             ev.try_energy(tuple(genes)),
         )
 
@@ -195,7 +195,7 @@ class TestLastPassRecord:
                 i = rng.randrange(len(genes))
                 genes[i] = rng.randrange(len(inst.hosts))
                 h = rng.randrange(len(inst.hosts))
-                assert ev.fits(i, h, genes) == _recount_fits(inst, {i}, h, genes)
+                assert ev.fits((i,), h, genes) == _recount_fits(inst, {i}, h, genes)
 
     def test_repair_result_matches_a_fresh_evaluator(self):
         rng = random.Random(29)
@@ -304,8 +304,8 @@ class TestMovingRecord:
             assert moved == [i for i, g in enumerate(genes) if g == src]
             for dst in range(len(inst.hosts)):
                 if dst != src:
-                    fit = walker.fits_all(moved, dst, genes)
-                    assert fit == fresh.fits_all(moved, dst, genes)
+                    fit = walker.fits(moved, dst, genes)
+                    assert fit == fresh.fits(moved, dst, genes)
                     assert fit == _recount_fits(inst, set(moved), dst, genes)
         return expected is None
 

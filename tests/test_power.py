@@ -294,7 +294,7 @@ class TestEnergyEvaluator:
                 # fits() only checks the target host; verify one direction:
                 # if the whole assignment is feasible, fits must agree.
                 if others_ok is not None:
-                    assert ev.fits(i, h, genes)
+                    assert ev.fits((i,), h, genes)
 
     def test_first_violation_none_when_feasible(self):
         inst = ProblemInstance(
