@@ -13,6 +13,7 @@ All types are immutable values; the operations here are pure functions.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Tuple
@@ -155,6 +156,9 @@ class ProblemInstance:
 
 
 def _require_total(placement: Placement, instance: ProblemInstance) -> None:
+    # Two set comparisons pass a total placement; the scans below name what is wrong.
+    if placement.keys() == instance.vm_index.keys() and set(placement.values()) <= instance.host_by_id.keys():
+        return
     missing = [v.id for v in instance.vms if v.id not in placement]
     if missing:
         raise ValueError(f"placement is not total, missing vms: {missing[:5]}")
@@ -162,33 +166,75 @@ def _require_total(placement: Placement, instance: ProblemInstance) -> None:
     if extra:
         raise ValueError(f"placement mentions unknown vms: {extra[:5]}")
     unknown_hosts = sorted({h for h in placement.values() if h not in instance.host_by_id})
-    if unknown_hosts:
-        raise ValueError(f"placement mentions unknown hosts: {unknown_hosts[:5]}")
+    raise ValueError(f"placement mentions unknown hosts: {unknown_hosts[:5]}")
+
+
+def _sweep(placement: Placement, instance: ProblemInstance):
+    """Host loads of ``placement``, one segment of ``instance.segments`` at a time.
+
+    Yields (t0, t1, changed, over) per segment. ``changed`` holds (host, PE
+    load, MIPS load) of each host whose VM set changed at t0; the others keep
+    their last loads, and all start empty. Loads are summed left to right over
+    the host's active VMs in ascending index order, so they equal a count from
+    scratch bit for bit. ``over`` maps each host id over a capacity to its
+    (kind, demand, capacity) overflows, PE before MIPS, and carries them across
+    segments. The event lists are built on each call, in O(VMs); a segment then
+    costs only the active VMs of the hosts whose set changed.
+    """
+    _require_total(placement, instance)
+    host_by_id = instance.host_by_id
+    cap = instance.cap_demand_to_core
+    starts: Dict[int, List[Tuple[int, int]]] = {}  # time -> (host id, VM index) of the VMs starting then
+    ends: Dict[int, List[Tuple[int, int]]] = {}
+    load: List[Tuple[int, float]] = []  # per VM index: (PEs, MIPS) on its host
+    for i, v in enumerate(instance.vms):
+        hid = placement[v.id]
+        load.append((v.pe_count, v.demand_mips_on(host_by_id[hid], cap)))
+        event = (hid, i)
+        starts.setdefault(v.start_time, []).append(event)
+        ends.setdefault(v.end_time, []).append(event)
+    active: Dict[int, List[int]] = {}  # host id -> its active VM indices, ascending
+    over: Dict[int, List[Tuple[str, float, float]]] = {}
+    for t0, t1 in instance.segments:
+        touched = set()
+        for hid, i in ends.get(t0, ()):
+            active[hid].remove(i)
+            touched.add(hid)
+        for hid, i in starts.get(t0, ()):
+            insort(active.setdefault(hid, []), i)
+            touched.add(hid)
+        changed = []
+        for hid in touched:
+            pe_d, mips_d = 0, 0.0
+            for i in active[hid]:
+                p, x = load[i]
+                pe_d += p
+                mips_d += x
+            host = host_by_id[hid]
+            changed.append((host, pe_d, mips_d))
+            bad = []
+            if pe_d > host.pe_count:
+                bad.append((PE_OVERFLOW, float(pe_d), float(host.pe_count)))
+            if mips_d > host.total_mips + MIPS_EPS:
+                bad.append((MIPS_OVERFLOW, mips_d, host.total_mips))
+            if bad:
+                over[hid] = bad
+            else:
+                over.pop(hid, None)
+        yield t0, t1, changed, over
 
 
 def check_feasibility(placement: Placement, instance: ProblemInstance) -> List[Violation]:
     """All capacity violations of ``placement``, empty list if feasible.
 
-    Scans only event boundaries (load is constant in between). Violations are
-    ordered by interval start time, then host id; PE before MIPS for the same
-    host and interval.
+    Reads one event sweep: load is constant between VM starts and ends, and
+    only hosts whose VM set changed are recounted, in O(VMs + segments) plus
+    those hosts' active VMs. Violations are ordered by interval start time,
+    then host id (not host index), PE before MIPS; one that lasts several
+    segments is reported at the start of each.
     """
-    _require_total(placement, instance)
-    cap = instance.cap_demand_to_core
     violations: List[Violation] = []
-    for t0, _t1 in instance.segments:
-        loads: Dict[int, List[float]] = {}
-        for v in instance.vms:
-            if v.active_at(t0):
-                host = instance.host_by_id[placement[v.id]]
-                ld = loads.setdefault(host.id, [0, 0.0])
-                ld[0] += v.pe_count
-                ld[1] += v.demand_mips_on(host, cap)
-        for hid in sorted(loads):
-            host = instance.host_by_id[hid]
-            pe_d, mips_d = loads[hid]
-            if pe_d > host.pe_count:
-                violations.append(Violation(hid, t0, PE_OVERFLOW, float(pe_d), float(host.pe_count)))
-            if mips_d > host.total_mips + MIPS_EPS:
-                violations.append(Violation(hid, t0, MIPS_OVERFLOW, mips_d, host.total_mips))
+    for t0, _t1, _changed, over in _sweep(placement, instance):
+        for hid in sorted(over):
+            violations.extend(Violation(hid, t0, *o) for o in over[hid])
     return violations

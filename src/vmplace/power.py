@@ -5,6 +5,10 @@ draw between samples is linear interpolation. Energy of a placement is the
 integral of power over time, which reduces to a finite sum because host
 utilization only changes when a VM starts or ends.
 
+:func:`integrate_energy` is the reference: one pass over the event sweep that
+:func:`check_feasibility` also reads, sharing no tables with the search's
+:class:`EnergyEvaluator`.
+
 By default a host with no active VMs draws 0 W (it is switched off); set
 ``idle_hosts_powered`` to keep every host on at its idle draw instead.
 """
@@ -26,6 +30,7 @@ from .model import (
     Placement,
     ProblemInstance,
     VmRequest,
+    _sweep,
     check_feasibility,
 )
 
@@ -139,32 +144,30 @@ def integrate_energy(
     instance: ProblemInstance,
     idle_hosts_powered: bool = False,
 ) -> EnergyReport:
-    """Exact energy of a feasible placement over [0, horizon).
+    """Exact energy of a feasible placement over [0, horizon), in one pass.
 
-    Raises InfeasiblePlacementError (carrying the violations) otherwise.
+    Reads the event sweep of :func:`check_feasibility`, so a host's watts are
+    recomputed only when its VM set changes. A placement that is not total
+    raises ValueError; one over a capacity raises InfeasiblePlacementError
+    carrying the violations :func:`check_feasibility` lists.
     """
-    violations = check_feasibility(placement, instance)
-    if violations:
-        raise InfeasiblePlacementError(violations)
-    cap = instance.cap_demand_to_core
-    per_host = {h.id: 0.0 for h in instance.hosts}
+    empty = {h.id: (0.0, h.power_model.idle_watts if idle_hosts_powered else 0.0) for h in instance.hosts}
+    rows = dict(empty)  # host id -> (utilization, watts) in the current segment
+    per_host = dict.fromkeys(empty, 0.0)
     segments = []
-    for t0, t1 in instance.segments:
-        by_host: Dict[int, List[VmRequest]] = {}
-        for v in instance.vms:
-            if v.active_at(t0):
-                by_host.setdefault(placement[v.id], []).append(v)
-        for host in instance.hosts:
-            act = by_host.get(host.id, ())
-            if act:
-                u = utilization(host, act, cap)
-                watts = interpolate_power(host.power_model, u)
-            elif idle_hosts_powered:
-                u, watts = 0.0, host.power_model.idle_watts
+    for t0, t1, changed, over in _sweep(placement, instance):
+        if over:
+            raise InfeasiblePlacementError(check_feasibility(placement, instance))
+        for host, pe_d, mips_d in changed:
+            if pe_d:
+                u = min(mips_d / host.total_mips, 1.0)
+                rows[host.id] = (u, interpolate_power(host.power_model, u))
             else:
-                u, watts = 0.0, 0.0
-            per_host[host.id] += watts * (t1 - t0)
-            segments.append((t0, t1, host.id, u, watts))
+                rows[host.id] = empty[host.id]
+        span = t1 - t0
+        for hid, (u, watts) in rows.items():
+            per_host[hid] += watts * span
+            segments.append((t0, t1, hid, u, watts))
     total = ordered_sum(per_host.values())
     return EnergyReport(per_host, total, total * KWH_PER_JOULE, tuple(segments))
 

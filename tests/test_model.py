@@ -149,6 +149,28 @@ class TestCheckFeasibility:
         viols = check_feasibility({v.id: 0 for v in vms}, raw)
         assert [v.kind for v in viols] == [MIPS_OVERFLOW]
 
+    def test_lasting_violation_reported_at_each_segment_start(self):
+        # Host 0 is one PE over from 0 to 300; c on host 1 splits that into
+        # three segments.
+        vms = (
+            VmRequest("long", 4, 100.0, 0, 300),
+            VmRequest("x", 1, 100.0, 0, 300),
+            VmRequest("c", 1, 100.0, 100, 100),
+        )
+        inst = ProblemInstance(vms, (ibm_host(0), ibm_host(1)))
+        viols = check_feasibility({"long": 0, "x": 0, "c": 1}, inst)
+        assert [(v.host_id, v.time, v.kind) for v in viols] == [
+            (0, 0, PE_OVERFLOW),
+            (0, 100, PE_OVERFLOW),
+            (0, 200, PE_OVERFLOW),
+        ]
+
+    def test_violations_ordered_by_host_id_not_index(self):
+        vms = tuple(VmRequest(f"v{i}", 1, 100.0, 0, 10) for i in range(10))
+        inst = ProblemInstance(vms, (ibm_host(9), ibm_host(2)))
+        placement = {v.id: (9, 2)[i % 2] for i, v in enumerate(vms)}
+        assert [v.host_id for v in check_feasibility(placement, inst)] == [2, 9]
+
     def test_partial_placement_rejected(self):
         inst = ProblemInstance((VmRequest("a", 1, 100.0, 0, 10),), (ibm_host(0),))
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Power curves, utilization, and exact energy integration."""
 
+import itertools
 import random
 
 import pytest
@@ -199,22 +200,56 @@ class TestIntegrateEnergy:
     def test_riemann_sum_agreement(self):
         # Independent 1-second Riemann sum over the horizon must agree with the
         # event-driven integral (power is piecewise constant at 1 s resolution
-        # because all times are integers).
-        inst = random_small_instance(11)
-        placement = {v.id: inst.hosts[i % len(inst.hosts)].id for i, v in enumerate(inst.vms)}
+        # because all times are integers), with idle hosts off and on.
         from vmplace import check_feasibility
 
-        if check_feasibility(placement, inst):
-            placement = {v.id: inst.hosts[0].id for v in inst.vms}
-        report = integrate_energy(placement, inst)
-        brute = 0.0
-        for t in range(inst.horizon):
-            for host in inst.hosts:
-                act = [v for v in inst.vms if v.active_at(t) and placement[v.id] == host.id]
-                if act:
-                    u = utilization(host, act, inst.cap_demand_to_core)
-                    brute += interpolate_power(host.power_model, u)
-        assert report.total_joules == pytest.approx(brute, rel=1e-9)
+        for seed, idle in itertools.product((0, 6, 11, 16, 24), (False, True)):
+            inst = random_small_instance(seed)
+            placement = {v.id: inst.hosts[i % len(inst.hosts)].id for i, v in enumerate(inst.vms)}
+            if check_feasibility(placement, inst):
+                placement = {v.id: inst.hosts[0].id for v in inst.vms}
+            report = integrate_energy(placement, inst, idle_hosts_powered=idle)
+            brute = 0.0
+            for t in range(inst.horizon):
+                for host in inst.hosts:
+                    act = [v for v in inst.vms if v.active_at(t) and placement[v.id] == host.id]
+                    if act:
+                        u = utilization(host, act, inst.cap_demand_to_core)
+                        brute += interpolate_power(host.power_model, u)
+                    elif idle:
+                        brute += host.power_model.idle_watts
+            assert report.total_joules == pytest.approx(brute, rel=1e-9)
+
+    def test_sixteen_vms_fill_a_dell_exactly(self):
+        vms = tuple(VmRequest(f"v{i}", 1, 2200.0, 0, 3600) for i in range(16))
+        inst = ProblemInstance(vms, (dell_host(0),))
+        report = integrate_energy({v.id: 0 for v in vms}, inst)
+        assert report.segments == ((0, 3600, 0, 1.0, 263.0),)
+        assert report.total_joules == 263.0 * 3600
+
+    def test_zero_watt_idle_curve_with_idle_hosts_powered(self):
+        zero_idle = PowerModel("zero_idle", (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0))
+        hosts = (HostSpec(5, 4, 1000.0, zero_idle), ibm_host(2))
+        vms = (VmRequest("a", 2, 1000.0, 0, 100), VmRequest("b", 2, 2933.0, 100, 50))
+        report = integrate_energy({"a": 5, "b": 2}, ProblemInstance(vms, hosts), idle_hosts_powered=True)
+        assert report.segments == (
+            (0, 100, 5, 0.5, 50.0),
+            (0, 100, 2, 0.0, 41.6),
+            (100, 150, 5, 0.0, 0.0),
+            (100, 150, 2, 0.5, 73.0),
+        )
+        assert report.per_host == {5: 50.0 * 100, 2: 41.6 * 100 + 73.0 * 50}
+
+    def test_segments_partition_horizon_across_a_multi_day_gap(self):
+        day = 86_400
+        vms = (VmRequest("a", 2, 2933.0, 0, 900), VmRequest("b", 2, 2933.0, 3 * day, 900))
+        inst = ProblemInstance(vms, (ibm_host(4), ibm_host(1)))
+        report = integrate_energy({"a": 4, "b": 1}, inst)
+        for host in inst.hosts:
+            spans = [(t0, t1) for t0, t1, hid, _u, _w in report.segments if hid == host.id]
+            assert spans == [(0, 900), (900, 3 * day), (3 * day, 3 * day + 900)]
+        assert [w for *_, hid, _u, w in report.segments if hid == 4] == [73.0, 0.0, 0.0]
+        assert [w for *_, hid, _u, w in report.segments if hid == 1] == [0.0, 0.0, 73.0]
 
 
 class TestEnergyEvaluator:
