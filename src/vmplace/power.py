@@ -217,71 +217,23 @@ class _Record:
         )
 
 
-class EnergyEvaluator:
-    """Precomputed fast scorer for many candidate placements of one instance.
-
-    Works on gene vectors (host index per VM, in ``instance.vms`` order); this
-    is the hot path of the search algorithms. Each search builds its own
-    evaluator, so its memo, kept records and evaluation count belong to that
-    search alone.
-
-    A load record (:class:`_Record`) holds, for one gene vector, each (host,
-    segment) cell's VMs in ascending index order, its PE and MIPS load, the
-    violating cells, an energy term per cell and the order in which a count
-    from scratch first touches the occupied cells, which is the order energy
-    terms are summed in. :meth:`_compute` makes the record of the requested
-    genes current by moving a record it already has and recounting only the
-    cells whose VM set changed, from their VMs in index order, so every load
-    equals a count from scratch bit for bit, and it sets the term of every
-    cell whose MIPS load changed; the first pass is a move from the empty
-    record. So every record, kept or current, equals the one a fresh
-    evaluator makes of the same genes. A pass starts from the record of
-    :attr:`parent` when that is set and kept (and clears it), otherwise from
-    the current record. A search that builds a vector with :meth:`move`
-    names the VMs it moved, so the pass of that vector visits only them.
-    :meth:`first_violation`, :meth:`fits`, :meth:`host_vms`,
-    :meth:`try_energy` and :meth:`snapshot_power` read the current record,
-    making it first when asked about other genes. Loads become watts only in
-    :meth:`watts_at`, which the load pass, :meth:`snapshot_power` and the BFD
-    baseline call.
-
-    Results are memoized, but only for the vectors :meth:`try_energy` or
-    :meth:`feasible` is asked about; a vector memoized as feasible needs no
-    pass in :meth:`first_violation` either. The memo's key is the vector
-    packed with :mod:`struct` at one byte per gene up to 256 hosts, two up to
-    65,536 and four beyond, so equal vectors share one entry whether they
-    come as distinct tuples or as a list. A key takes 33 bytes plus the
-    packed genes: 244 B at the lab day's 211 genes where the tuple took
-    1,728 B, and 4,033 B where it took 16,040 B at 2,000 genes on 300 hosts.
-    A tuple is packed once: its key is reused while the same tuple comes
-    back, as it does from :meth:`first_violation` to :meth:`try_energy`.
-    Packing also rejects a gene that is not an int, before a pass starts.
-    Those calls also keep the vector's record, by gene tuple: the current
-    record is kept by reference, and the next pass copies it before changing
-    it, so a later pass never changes a kept record. :meth:`keep_records`
-    drops the ones a caller no longer names as parents; at most
-    ``_RECORD_LIMIT`` are kept in any case. The memo clears when it holds
-    more than ``_CACHE_LIMIT`` vectors or more than ``_CACHE_GENES`` genes,
-    so its packed genes take at most 15 MB at one byte per gene and 30 MB
-    at two, whatever the VM count.
-    """
+class _Tables:
+    """The tables of one instance that BFD and :class:`EnergyEvaluator` read,
+    and :meth:`watts_at`. Cell k is (segment k // host_count, host k %
+    host_count): VM i on host h occupies cells off + h for off in
+    ``cell_runs[i]``, one per segment of its run ``spans[i]``."""
 
     # Slots keep attribute reads fast however many attributes there are: past
     # 30, an instance dict stops sharing its keys and every read slows down.
     # A "__dict__" slot would slow method calls again, so there is none.
     __slots__ = (
-        "idle", "nseg", "seg_len", "host_count", "spans", "cell_runs", "pe", "eff",
+        "nseg", "seg_len", "host_count", "spans", "cell_runs", "pe", "eff",
         "host_pe", "host_mips", "mips_cap", "tables", "host_class", "_watts",
-        "_first_slot", "idle_base", "evaluations", "_cache", "_rec", "_kept",
-        "_records", "parent", "_moved", "_pack", "_packed", "_packed_key",
     )
 
     _CACHE_LIMIT = 150_000
-    _CACHE_GENES = 15_000_000
-    _RECORD_LIMIT = 64
 
-    def __init__(self, instance: ProblemInstance, idle_hosts_powered: bool = False):
-        self.idle = idle_hosts_powered
+    def __init__(self, instance: ProblemInstance):
         segs = instance.segments
         self.nseg = len(segs)
         self.seg_len = [t1 - t0 for t0, t1 in segs]
@@ -292,9 +244,6 @@ class EnergyEvaluator:
         self.spans: List[Tuple[int, int]] = []
         for v in instance.vms:
             self.spans.append((start_index[v.start_time], start_index[v.end_time]))
-        # Cell k = segment * host_count + host, so cells sort by (segment,
-        # host). Each VM's segment run as cell offsets: VM i on host h
-        # occupies cells off + h for off in cell_runs[i].
         self.cell_runs = [tuple(range(a * m, b * m, m)) for a, b in self.spans]
         self.pe = [v.pe_count for v in instance.vms]
         cap = instance.cap_demand_to_core
@@ -320,14 +269,89 @@ class EnergyEvaluator:
             classes.setdefault((h.pe_count, h.mips_per_pe, h.power_model.samples), len(classes))
             for h in instance.hosts
         ]
-        self.idle_base = (
-            ordered_sum(t[0] for t in self.tables) * instance.horizon if idle_hosts_powered else 0.0
-        )
         # Watts by MIPS load, one memo per host class, reached by host.
         memos: Dict[int, Dict[float, float]] = {}
         self._watts = [memos.setdefault(c, {}) for c in self.host_class]
+
+    def watts_at(self, h: int, x: float) -> float:
+        """Watts host ``h`` draws at MIPS load ``x``, its utilization capped at 1;
+        memoized per host class, up to ``_CACHE_LIMIT`` loads."""
+        memo = self._watts[h]
+        w = memo.get(x)
+        if w is None:
+            if len(memo) > self._CACHE_LIMIT:
+                memo.clear()
+            u = x / self.host_mips[h]
+            w = memo[x] = _interp(self.tables[h], u if u < 1.0 else 1.0)
+        return w
+
+
+class EnergyEvaluator(_Tables):
+    """Precomputed fast scorer for many candidate placements of one instance.
+
+    Works on gene vectors (host index per VM, in ``instance.vms`` order); this
+    is the hot path of the search algorithms. Each search builds its own
+    evaluator, so its memo, kept records and evaluation count belong to that
+    search alone.
+
+    A load record (:class:`_Record`) holds, for one gene vector, each (host,
+    segment) cell's VMs in ascending index order, its PE and MIPS load, the
+    violating cells, an energy term per cell and the order in which a count
+    from scratch first touches the occupied cells, which is the order energy
+    terms are summed in. :meth:`_compute` makes the record of the requested
+    genes current by moving a record it already has and recounting only the
+    cells whose VM set changed, from their VMs in index order, so every load
+    equals a count from scratch bit for bit, and it sets the term of every
+    cell whose MIPS load changed; the first pass is a move from the empty
+    record. So every record, kept or current, equals the one a fresh
+    evaluator makes of the same genes. A pass starts from the record of
+    :attr:`parent` when that is set and kept (and clears it), otherwise from
+    the current record. A search that builds a vector with :meth:`move`
+    names the VMs it moved, so the pass of that vector visits only them.
+    :meth:`first_violation`, :meth:`fits`, :meth:`host_vms`,
+    :meth:`try_energy` and :meth:`snapshot_power` read the current record,
+    making it first when asked about other genes. The instance tables and
+    :meth:`watts_at`, the only place where load becomes watts, come from
+    :class:`_Tables`, which the BFD baseline builds alone.
+
+    Results are memoized, but only for the vectors :meth:`try_energy` or
+    :meth:`feasible` is asked about; a vector memoized as feasible needs no
+    pass in :meth:`first_violation` either. The memo's key is the vector
+    packed with :mod:`struct` at one byte per gene up to 256 hosts, two up to
+    65,536 and four beyond, so equal vectors share one entry whether they
+    come as distinct tuples or as a list. A key takes 33 bytes plus the
+    packed genes: 244 B at the lab day's 211 genes where the tuple took
+    1,728 B, and 4,033 B where it took 16,040 B at 2,000 genes on 300 hosts.
+    A tuple is packed once: its key is reused while the same tuple comes
+    back, as it does from :meth:`first_violation` to :meth:`try_energy`.
+    Packing also rejects a gene that is not an int, before a pass starts.
+    Those calls also keep the vector's record, by gene tuple: the current
+    record is kept by reference, and the next pass copies it before changing
+    it, so a later pass never changes a kept record. :meth:`keep_records`
+    drops the ones a caller no longer names as parents; at most
+    ``_RECORD_LIMIT`` are kept in any case. The memo clears when it holds
+    more than ``_CACHE_LIMIT`` vectors or more than ``_CACHE_GENES`` genes,
+    so its packed genes take at most 15 MB at one byte per gene and 30 MB
+    at two, whatever the VM count.
+    """
+
+    __slots__ = (
+        "idle", "idle_base", "_first_slot", "evaluations", "_cache", "_rec", "_kept",
+        "_records", "parent", "_moved", "_pack", "_packed", "_packed_key",
+    )
+
+    _CACHE_GENES = 15_000_000
+    _RECORD_LIMIT = 64
+
+    def __init__(self, instance: ProblemInstance, idle_hosts_powered: bool = False):
+        super().__init__(instance)
+        self.idle = idle_hosts_powered
+        self.idle_base = (
+            ordered_sum(t[0] for t in self.tables) * instance.horizon if idle_hosts_powered else 0.0
+        )
         self.evaluations = 0
         # Memo keys: every gene in as few bytes as the largest host index needs.
+        m = self.host_count
         width = "B" if m <= 1 << 8 else "H" if m <= 1 << 16 else "I"
         self._pack = struct.Struct(f"<{len(instance.vms)}{width}").pack
         # The last tuple packed and its key; callers check for it before
@@ -335,11 +359,20 @@ class EnergyEvaluator:
         self._packed: Optional[Tuple[int, ...]] = None
         self._packed_key = b""
         self._cache: Dict[bytes, Optional[float]] = {}
-        # The current record, None until a pass succeeds; the first pass
-        # builds it empty, so an evaluator that runs no pass (as in BFD)
-        # never pays for one. While _kept is set, the current record
-        # is also a kept one, so the next pass copies it before changing it.
-        self._rec: Optional[_Record] = None
+        # One slot per (VM, segment) pair, in that order: VM i's slot in
+        # segment s is _first_slot[i] + s.
+        self._first_slot = []
+        slots = 0
+        for a, b in self.spans:
+            self._first_slot.append(slots - a)
+            slots += b - a
+        cells = m * self.nseg
+        # The current record, at first the empty one. While _kept is set it is
+        # also a kept one, which the next pass copies before changing it.
+        self._rec = _Record(
+            None, None, [()] * cells, [0] * cells, [0.0] * cells, set(),
+            [0.0] * (cells + 1), [cells] * slots, [-1] * cells,
+        )
         self._kept = False
         # Kept records by genes.
         self._records: Dict[Tuple[int, ...], _Record] = {}
@@ -349,25 +382,10 @@ class EnergyEvaluator:
         # The last move(): (moved genes, genes it started from, VMs changed).
         self._moved: Optional[Tuple[Tuple[int, ...], Sequence[int], List[int]]] = None
 
-    def _empty_record(self) -> _Record:
-        """The record with no VM placed; also builds the slot table."""
-        cells = self.host_count * self.nseg
-        # One slot per (VM, segment) pair, in that order: VM i's slot in
-        # segment s is _first_slot[i] + s.
-        self._first_slot = []
-        slots = 0
-        for a, b in self.spans:
-            self._first_slot.append(slots - a)
-            slots += b - a
-        return _Record(
-            None, None, [()] * cells, [0] * cells, [0.0] * cells, set(),
-            [0.0] * (cells + 1), [cells] * slots, [-1] * cells,
-        )
-
     def try_energy(self, genes: Sequence[int], cache: bool = True) -> Optional[float]:
         """Total joules of the placement, or None if it violates capacity."""
+        key = self._packed_key if genes is self._packed else self._key(genes)
         if cache:
-            key = self._packed_key if genes is self._packed else self._key(genes)
             val = self._cache.get(key, _MISS)
             if val is not _MISS:
                 if val is _FEASIBLE:
@@ -444,11 +462,14 @@ class EnergyEvaluator:
                 records[genes] = rec
 
     def _violation(self, genes) -> Optional[Tuple[int, int]]:
-        """Earliest violation of ``genes``; afterwards the record holds their loads."""
+        """Earliest violation of ``genes``; afterwards the record holds their
+        loads. Genes other than the record's are checked by :meth:`_key` first."""
         key = genes if type(genes) is tuple else tuple(genes)
         rec = self._rec
-        if rec is not None and (key is rec.genes or key == rec.genes):
+        if key is rec.genes or key == rec.genes:
             return rec.violation
+        if key is not self._packed:
+            self._key(key)
         return self._compute(key)
 
     def _compute(self, genes: Tuple[int, ...]) -> Optional[Tuple[int, int]]:
@@ -467,8 +488,8 @@ class EnergyEvaluator:
         kept by the same pass: only a recounted cell whose lowest VM changed
         moves to another slot. A recounted cell whose MIPS load changed gets
         its term from :meth:`watts_at`, less the idle draw when idle hosts are
-        powered, or 0.0 when it empties. A gene that is not a host index
-        raises ValueError and leaves the current and every kept record as they were.
+        powered, or 0.0 when it empties. ``genes`` are one int per VM; one
+        that is no host index raises ValueError and leaves every record as it was.
         """
         rec, kept = self._rec, self._kept
         if self.parent is not None:
@@ -478,26 +499,19 @@ class EnergyEvaluator:
                 rec, kept = base, True
         moved = self._moved
         self._moved = None
-        if genes is not self._packed:
-            self._key(genes)  # every gene is an int, and there is one per VM
-        n = len(self.spans)
-        if rec is None:
-            # The first pass moves every VM from the empty record (host -1).
-            old: Sequence[int] = (-1,) * n
-            changed: Sequence[int] = range(n)
+        old = rec.genes
+        if moved is not None and moved[0] is genes and moved[1] is old:
+            changed = moved[2]
         else:
-            old = rec.genes
-            if moved is not None and moved[0] is genes and moved[1] is old:
-                changed = moved[2]
-            else:
-                changed = list(compress(range(n), map(ne, old, genes)))
+            n = len(self.spans)
+            # The empty record places every VM on host -1.
+            old = old or (-1,) * n
+            changed = list(compress(range(n), map(ne, old, genes)))
         m = self.host_count
         for i in changed:
             if not 0 <= genes[i] < m:
                 raise ValueError(f"gene {i}: host index {genes[i]!r} outside 0..{m - 1}")
-        if rec is None:
-            rec = self._empty_record()
-        elif kept:
+        if kept:
             # Copy on write: a kept record is never changed.
             rec = rec.copy()
         self._rec = rec
@@ -583,18 +597,6 @@ class EnergyEvaluator:
             total += term[k]
         return total
 
-    def watts_at(self, h: int, x: float) -> float:
-        """Watts host ``h`` draws at MIPS load ``x``, its utilization capped at 1;
-        memoized per host class, up to ``_CACHE_LIMIT`` loads."""
-        memo = self._watts[h]
-        w = memo.get(x)
-        if w is None:
-            if len(memo) > self._CACHE_LIMIT:
-                memo.clear()
-            u = x / self.host_mips[h]
-            w = memo[x] = _interp(self.tables[h], u if u < 1.0 else 1.0)
-        return w
-
     def move(self, genes: Tuple[int, ...], vms: Iterable[int], host: int) -> Tuple[int, ...]:
         """``genes`` with every VM in ``vms`` on ``host``, as a tuple.
 
@@ -633,10 +635,7 @@ class EnergyEvaluator:
         m = self.host_count
         if seg is not None:
             return list(vms_at[seg * m + host_idx])
-        on: Set[int] = set()
-        for off in range(0, self.nseg * m, m):
-            on.update(vms_at[off + host_idx])
-        return sorted(on)
+        return sorted(set().union(*vms_at[host_idx::m]))
 
     def fits(self, vms: Sequence[int], host_idx: int, genes) -> bool:
         """Would assigning every VM in ``vms`` (indices; one VM is ``(i,)``) to

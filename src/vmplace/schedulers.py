@@ -27,7 +27,7 @@ from .errors import (
     UnrepairableError,
 )
 from .model import Placement, ProblemInstance
-from .power import EnergyEvaluator, EnergyReport, integrate_energy
+from .power import EnergyEvaluator, EnergyReport, _Tables, integrate_energy
 
 #: One candidate allocation: gene[i] is the host index of VM i.
 Genes = Tuple[int, ...]
@@ -245,38 +245,38 @@ def bfd_schedule(instance: ProblemInstance, idle_hosts_powered: bool = False) ->
     the VM's interval grows the least, counting the switch-on cost of a host
     that was empty; ties go to the lowest host index. Deterministic.
 
-    Only the hosts that can win are scored: every host already in use, plus
-    each host class's lowest-index unused host. A class
-    (``EnergyEvaluator.host_class``) is the hosts with equal cores, core MIPS
-    and power samples. Its unused hosts all have the
-    same fit and the same delta, so none of them can beat the lowest-index
-    one, and the result is exactly that of scoring every host. Each
-    (segment, host) cell keeps its current watts, so scoring a host reads
-    :meth:`EnergyEvaluator.watts_at` once per segment.
+    BFD reads the evaluator's instance tables (``power._Tables``) but keeps
+    its own loads, summed in its VM order. Only the hosts that can win are
+    scored: every host in use, plus each host class's lowest-index unused
+    host. A class (``_Tables.host_class``) is the hosts with equal cores,
+    core MIPS and power samples; its unused hosts have the same fit and
+    delta, so none beats the lowest-index one, and the result is exactly
+    that of scoring every host. Each (segment, host) cell keeps its current
+    watts, so scoring a host reads :meth:`_Tables.watts_at` once per segment.
     """
     if not instance.vms:
         raise ValueError("bfd_schedule: empty instance")
     t_begin = time.perf_counter()
-    ev = EnergyEvaluator(instance, idle_hosts_powered)
+    tab = _Tables(instance)
     vms = instance.vms
     n = len(vms)
-    m = ev.host_count
+    m = tab.host_count
     order = sorted(range(n), key=lambda i: (vms[i].start_time, -vms[i].total_mips, vms[i].id))
-    watts_at = ev.watts_at
-    host_pe = ev.host_pe
-    mips_cap = ev.mips_cap
+    watts_at = tab.watts_at
+    host_pe = tab.host_pe
+    mips_cap = tab.mips_cap
     # Cell k = segment * m + host, as in the evaluator's record.
-    pe_load = [0] * (ev.nseg * m)
-    mips_load = [0.0] * (ev.nseg * m)
+    pe_load = [0] * (tab.nseg * m)
+    mips_load = [0.0] * (tab.nseg * m)
     # An empty cell draws 0 W, or its idle watts when idle hosts are powered.
-    watts = [t[0] if idle_hosts_powered else 0.0 for t in ev.tables] * ev.nseg
+    watts = [t[0] if idle_hosts_powered else 0.0 for t in tab.tables] * tab.nseg
 
     # Candidates, ascending: the used hosts and each class's lowest unused
     # host. successor[h] is the next host of h's class, not yet a candidate.
     candidates: List[int] = []
     successor: Dict[int, int] = {}
     last: Dict[int, int] = {}
-    for h, c in enumerate(ev.host_class):
+    for h, c in enumerate(tab.host_class):
         if c in last:
             successor[last[c]] = h
         else:
@@ -285,11 +285,11 @@ def bfd_schedule(instance: ProblemInstance, idle_hosts_powered: bool = False) ->
 
     genes: List[int] = [0] * n
     for i in order:
-        p = ev.pe[i]
-        row = ev.eff[i]
-        run = ev.cell_runs[i]
-        a, b = ev.spans[i]
-        lens = ev.seg_len[a:b]
+        p = tab.pe[i]
+        row = tab.eff[i]
+        run = tab.cell_runs[i]
+        a, b = tab.spans[i]
+        lens = tab.seg_len[a:b]
         best_delta = None
         best_h = -1
         for h in candidates:
@@ -429,7 +429,8 @@ def exact_schedule(
 
     Enumerates all host^vm assignments in lexicographic order and keeps the
     first minimum-energy feasible one, i.e. ties resolve to the smallest gene
-    vector.
+    vector. Enumerated genes are host indices, one per VM, so each vector is
+    scored by one load pass (``_compute``) with no memo and no key check.
     """
     if not instance.vms:
         raise ValueError("exact_schedule: empty instance")
@@ -445,7 +446,7 @@ def exact_schedule(
     best_energy = None
     best_genes: Optional[Genes] = None
     for genes in itertools.product(range(m), repeat=n):
-        energy = ev.try_energy(genes, cache=False)
+        energy = None if ev._compute(genes) else ev._energy()
         if energy is not None and (best_energy is None or energy < best_energy):
             best_energy = energy
             best_genes = genes

@@ -327,24 +327,36 @@ class TestMovingRecord:
         entry_points = (
             lambda ev, bad: ev.first_violation(bad),
             lambda ev, bad: ev.try_energy(tuple(bad)),
+            lambda ev, bad: ev.try_energy(tuple(bad), cache=False),
             lambda ev, bad: ev.feasible(tuple(bad)),
         )
+        # The record readers answer from the record a vector equal to its
+        # genes, even one holding 1.0, so they must refuse only vectors that
+        # are no host indices at all.
+        readers = (
+            lambda ev, bad: ev.host_vms(0, bad),
+            lambda ev, bad: ev.fits((0,), 1, bad),
+            lambda ev, bad: ev.snapshot_power(bad),
+        )
+        not_indices = ([0, 1, 0, 3, 0, 1], [2, 1, 0, 1, 0, -1], [0, 1, 0], [-1] * 6)
         # Genes that are not ints fail before the pass moves any VM, also
         # where they equal the current gene (1.0 == 1).
         not_ints = ([1.0, 1, 0, 1, 0, 1], [0, 1, "3", 1, 0, 1], [0, 1, 0, 1, None, 1], [0, 1.0, 0, 1, 0, 1])
         self._check_step(walker, inst, genes)
-        for bad in ([0, 1, 0, 3, 0, 1], [2, 1, 0, 1, 0, -1], [0, 1, 0]) + not_ints:
-            for entry in entry_points:
+        cases = [(bad, entry_points + readers) for bad in not_indices]
+        cases += [(bad, entry_points) for bad in not_ints]
+        for bad, entries in cases:
+            for entry in entries:
                 with pytest.raises(ValueError):
                     entry(walker, bad)
                 self._check_step(walker, inst, genes)
         self._check_step(walker, inst, [2, 2, 2, 2, 2, 2])
         # A fresh evaluator has no VM placed; its first pass must still check
         # every gene, and a failed first pass leaves it fresh.
-        for bad in ([0, 1, -1, 1, 0, 1], [-1] * 6, [0, 1, 0, 3, 0, 1]) + not_ints:
+        for bad in ([0, 1, -1, 1, 0, 1],) + not_indices + not_ints:
             fresh = EnergyEvaluator(inst)
             for _ in range(2):
-                for entry in entry_points:
+                for entry in entry_points + readers:
                     with pytest.raises(ValueError):
                         entry(fresh, bad)
             self._check_step(fresh, inst, genes)

@@ -1,12 +1,16 @@
 """Solver behavior: greedy baseline, genetic search, exhaustive oracle."""
 
+import itertools
+
 import pytest
 
 from vmplace import (
     BudgetExceededError,
     EnergyEvaluator,
     GaConfig,
+    HostSpec,
     NoFeasibleHostError,
+    PowerModel,
     ProblemInstance,
     VmRequest,
     bfd_schedule,
@@ -14,6 +18,7 @@ from vmplace import (
     exact_schedule,
     gapa_schedule,
     interpolate_power,
+    placement_from_genes,
 )
 from vmplace.model import MIPS_EPS
 
@@ -156,6 +161,17 @@ class TestBfd:
             checked += 1
         assert checked >= 20
 
+    @pytest.mark.parametrize("idle", [False, True])
+    def test_builds_no_evaluator(self, idle, monkeypatch):
+        # BFD reads the instance tables alone: no memo, no load records.
+        def refuse(ev, *args, **kwargs):
+            raise AssertionError("bfd_schedule built an EnergyEvaluator")
+
+        monkeypatch.setattr(EnergyEvaluator, "__init__", refuse)
+        for seed in range(3):
+            inst = mixed_class_instance(seed, 40, 10, 8)
+            assert bfd_schedule(inst, idle).placement == _plain_bfd(inst, idle), seed
+
 
 class TestGapa:
     def test_deterministic_per_seed(self):
@@ -296,7 +312,43 @@ class TestGaConfigValidation:
             GaConfig(**kwargs)
 
 
+def _corpus_style_instance() -> ProblemInstance:
+    """Like the acceptance oracle corpus: three 16-core hosts on scaled affine
+    curves, and six staggered VMs that do not all fit on one host."""
+    hosts = tuple(
+        HostSpec(h, 16, 2200.0, PowerModel(f"scaled-{h}", tuple(round(c * (40.0 + 8.0 * i), 1) for i in range(11))))
+        for h, c in enumerate((1.0, 2.2, 1.3))
+    )
+    vms = (
+        VmRequest("v0", 4, 2000.0, 0, 3600),
+        VmRequest("v1", 3, 1500.0, 0, 5400),
+        VmRequest("v2", 4, 2200.0, 1800, 3600),
+        VmRequest("v3", 2, 900.0, 1800, 1800),
+        VmRequest("v4", 4, 1800.0, 0, 5400),
+        VmRequest("v5", 1, 400.0, 3600, 1800),
+    )
+    return ProblemInstance(vms, hosts)
+
+
 class TestExact:
+    def test_enumeration_packs_no_vector(self, monkeypatch):
+        # The enumeration yields only host indices, so its passes skip the
+        # pack that checks genes, and still find the first optimum that the
+        # checked public path finds.
+        inst = _corpus_style_instance()
+        ev = EnergyEvaluator(inst)
+        scored = [(ev.try_energy(g, cache=False), g) for g in itertools.product(range(3), repeat=6)]
+        feasible = [(e, g) for e, g in scored if e is not None]
+        assert 0 < len(feasible) < len(scored)
+        joules, genes = min(feasible)
+        packs = []
+        key = EnergyEvaluator._key
+        monkeypatch.setattr(EnergyEvaluator, "_key", lambda self, genes: packs.append(genes) or key(self, genes))
+        result = exact_schedule(inst)
+        assert packs == []
+        assert result.placement == placement_from_genes(genes, inst)
+        assert result.energy.total_joules == pytest.approx(joules, rel=1e-12)
+
     def test_finds_optimum(self):
         # Two medium VMs. Both on the Dell box sit at u = 11732/35200, about
         # 108.3 W -- cheaper than the saturated IBM box (113 W) or any split.
