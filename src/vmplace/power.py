@@ -20,7 +20,7 @@ import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
-from operator import ne
+from operator import ne, truediv
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import InfeasiblePlacementError
@@ -80,11 +80,12 @@ BUILTIN_MODELS: Dict[str, PowerModel] = {m.name: m for m in (IBM_X3250, DELL_R62
 
 def _interp(samples: Sequence[float], u: float) -> float:
     # Snap to the nearest sample when u is (up to float noise) a multiple of
-    # 0.1, so sample points are reproduced exactly.
+    # 0.1, so sample points are reproduced exactly. Only u == 0 reads sample
+    # 0, which may be 0 W: a busy host is never snapped down to it.
     pos = u * 10.0
     k = round(pos)
-    if abs(pos - k) < 1e-9:
-        return samples[int(k)]
+    if abs(pos - k) < 1e-9 and (k or not pos):
+        return samples[k]
     i = int(pos)
     frac = pos - i
     return samples[i] + frac * (samples[i + 1] - samples[i])
@@ -193,10 +194,10 @@ class _Record:
     complete when its pass ends. A pass over the genes in index order first
     touches the occupied cells in (lowest VM, segment) order, so ``order``
     holds at each (VM, segment) slot the cell that VM is the lowest of in
-    that segment, and ``slot[k]`` is cell k's slot, -1 when it is empty. A
-    slot that names no cell holds the cell count, whose term is a trailing
-    0.0: adding +0.0 leaves a sum that starts at idle_base >= 0
-    bit-identical. The empty record's ``genes`` is None.
+    that segment; a pass reads a changed cell's old lowest VM from its tuple
+    before the pass. A slot that names no cell holds the cell count, whose
+    term is a trailing 0.0: adding +0.0 leaves a sum that starts at
+    idle_base >= 0 bit-identical. The empty record's ``genes`` is None.
     """
 
     genes: Optional[Tuple[int, ...]]
@@ -207,13 +208,12 @@ class _Record:
     bad: Set[int]
     term: List[float]
     order: List[int]
-    slot: List[int]
 
     def copy(self) -> _Record:
         """A record equal to this one that shares no mutable container with it."""
         return _Record(
             self.genes, self.violation, self.vms_at[:], self.pe_load[:], self.mips_load[:],
-            set(self.bad), self.term[:], self.order[:], self.slot[:],
+            set(self.bad), self.term[:], self.order[:],
         )
 
 
@@ -247,6 +247,8 @@ class _Tables:
         self.cell_runs = [tuple(range(a * m, b * m, m)) for a, b in self.spans]
         self.pe = [v.pe_count for v in instance.vms]
         cap = instance.cap_demand_to_core
+        self.host_pe = [h.pe_count for h in instance.hosts]
+        self.host_mips = [h.total_mips for h in instance.hosts]
         # Effective MIPS demand per VM per host (per-core-capped when the
         # instance says so); used for capacity checks and utilization alike.
         # VMs of one shape share one row, which nothing writes to.
@@ -257,9 +259,10 @@ class _Tables:
             row = rows.get(shape)
             if row is None:
                 row = rows[shape] = [v.demand_mips_on(h, cap) for h in instance.hosts]
+                # A busy host must draw power: fitness and the BFD ratio divide by it.
+                if 0.0 in map(truediv, row, self.host_mips):
+                    raise ValueError(f"vm {v.id!r}: {v.mips_per_pe} MIPS per PE is too small to register on a host")
             self.eff.append(row)
-        self.host_pe = [h.pe_count for h in instance.hosts]
-        self.host_mips = [h.total_mips for h in instance.hosts]
         self.mips_cap = [c + MIPS_EPS for c in self.host_mips]
         self.tables = [h.power_model.samples for h in instance.hosts]
         # A host class is the hosts with equal cores, core MIPS and power
@@ -371,7 +374,7 @@ class EnergyEvaluator(_Tables):
         # also a kept one, which the next pass copies before changing it.
         self._rec = _Record(
             None, None, [()] * cells, [0] * cells, [0.0] * cells, set(),
-            [0.0] * (cells + 1), [cells] * slots, [-1] * cells,
+            [0.0] * (cells + 1), [cells] * slots,
         )
         self._kept = False
         # Kept records by genes.
@@ -382,23 +385,21 @@ class EnergyEvaluator(_Tables):
         # The last move(): (moved genes, genes it started from, VMs changed).
         self._moved: Optional[Tuple[Tuple[int, ...], Sequence[int], List[int]]] = None
 
-    def try_energy(self, genes: Sequence[int], cache: bool = True) -> Optional[float]:
+    def try_energy(self, genes: Sequence[int]) -> Optional[float]:
         """Total joules of the placement, or None if it violates capacity."""
         key = self._packed_key if genes is self._packed else self._key(genes)
-        if cache:
-            val = self._cache.get(key, _MISS)
-            if val is not _MISS:
-                if val is _FEASIBLE:
-                    # Counted when feasible() scored it; only the joules are new.
-                    self._violation(genes)
-                    val = self._cache[key] = self._energy()
-                return val
+        val = self._cache.get(key, _MISS)
+        if val is not _MISS:
+            if val is _FEASIBLE:
+                # Counted when feasible() scored it; only the joules are new.
+                self._violation(genes)
+                val = self._cache[key] = self._energy()
+            return val
         if type(genes) is not tuple:
             genes = tuple(genes)
         self.evaluations += 1
         val = None if self._violation(genes) else self._energy()
-        if cache:
-            self._remember(genes, key, val)
+        self._remember(genes, key, val)
         return val
 
     def feasible(self, genes: Sequence[int]) -> bool:
@@ -485,11 +486,12 @@ class EnergyEvaluator(_Tables):
         left-to-right addition, never by adding and subtracting the moved VMs:
         the loads stay exactly those of a count from scratch, including at an
         exact capacity fill. The first-touch order of the occupied cells is
-        kept by the same pass: only a recounted cell whose lowest VM changed
-        moves to another slot. A recounted cell whose MIPS load changed gets
-        its term from :meth:`watts_at`, less the idle draw when idle hosts are
-        powered, or 0.0 when it empties. ``genes`` are one int per VM; one
-        that is no host index raises ValueError and leaves every record as it was.
+        kept by the same pass: only a recounted cell whose lowest VM changed,
+        read from its tuple before the pass and after, moves to another slot.
+        A recounted cell whose MIPS load changed gets its term from
+        :meth:`watts_at`, less the idle draw when idle hosts are powered, or
+        0.0 when it empties. ``genes`` are one int per VM; one that is no
+        host index raises ValueError and leaves every record as it was.
         """
         rec, kept = self._rec, self._kept
         if self.parent is not None:
@@ -518,7 +520,8 @@ class EnergyEvaluator(_Tables):
         self._kept = False
         vms_at = rec.vms_at
         cell_runs = self.cell_runs
-        dirty: Set[int] = set()
+        # Each changed cell's VMs as they were before this pass.
+        dirty: Dict[int, Tuple[int, ...]] = {}
         for i in changed:
             was = old[i]
             now = genes[i]
@@ -528,12 +531,12 @@ class EnergyEvaluator(_Tables):
                     at = vms_at[k]
                     j = at.index(i)
                     vms_at[k] = at[:j] + at[j + 1 :]
-                    dirty.add(k)
+                    dirty.setdefault(k, at)
                 k = off + now
                 at = vms_at[k]
                 j = bisect_left(at, i)
                 vms_at[k] = at[:j] + (i,) + at[j:]
-                dirty.add(k)
+                dirty.setdefault(k, at)
         pe = self.pe
         eff = self.eff
         host_pe = self.host_pe
@@ -548,9 +551,8 @@ class EnergyEvaluator(_Tables):
         seg_len = self.seg_len
         first_slot = self._first_slot
         order = rec.order
-        slot_of = rec.slot
         empty = len(pe_l)
-        for k in dirty:
+        for k, before in dirty.items():
             h = k % m
             vms = vms_at[k]
             p = 0
@@ -572,16 +574,16 @@ class EnergyEvaluator(_Tables):
                 bad.add(k)
             else:
                 bad.discard(k)
-            slot = first_slot[vms[0]] + k // m if vms else -1
-            was = slot_of[k]
-            if slot != was:
+            low = vms[0] if vms else -1
+            old_low = before[0] if before else -1
+            if low != old_low:
+                s = k // m
                 # Another dirty cell may already have taken the old slot: its
                 # VM moved there within the same segment.
-                if was >= 0 and order[was] == k:
-                    order[was] = empty
-                if slot >= 0:
-                    order[slot] = k
-                slot_of[k] = slot
+                if old_low >= 0 and order[first_slot[old_low] + s] == k:
+                    order[first_slot[old_low] + s] = empty
+                if low >= 0:
+                    order[first_slot[low] + s] = k
         rec.genes = genes
         rec.violation = divmod(min(bad), m) if bad else None
         return rec.violation

@@ -480,6 +480,26 @@ class TestMain:
         else:
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("solver", ["bfd", "gapa", "exact"])
+    def test_tiny_demand_on_a_zero_watt_idle_curve(self, solver, tmp_path, monkeypatch, capsys):
+        """A busy host draws more than its 0 W idle sample, however small its
+        load; a VM too small to register on a host at all is refused."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "one.csv").write_text("day,subject,class_id,group_id,students,slot_mask,duration_s\n6,1,C1,G1,3,12-,5400\n")
+        fleet = {
+            "entries": [{"model": "zero", "count": 2, "pe_count": 4, "mips_per_pe": 2933.0}],
+            "power_models": [{"name": "zero", "samples": list(range(11))}],
+        }
+        (tmp_path / "zero-idle.json").write_text(json.dumps(fleet))
+        argv = ["solve", "--solver", solver, "--workload", "one.csv", "--fleet", "zero-idle.json"]
+        argv += ["--generations", "5", "--out", "r.csv"]
+        assert main(argv + ["--vm-mips", "1e-7"]) == EXIT_OK
+        assert int(_read_csv_report(tmp_path / "r.csv")[0]["hosts_used"]) >= 1
+        assert capsys.readouterr().err == ""
+        assert main(argv + ["--vm-mips", "1e-320"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_infeasible_placement_exits_infeasible(self, tmp_path):
         # All 211 single-core VMs on one 16-core host cannot be feasible.
         inst = build_instance(small_config())

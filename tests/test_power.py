@@ -87,6 +87,13 @@ class TestInterpolatePower:
         assert interpolate_power(IBM_X3250, 0.1 + 0.2) == IBM_SAMPLES[3]
         assert interpolate_power(IBM_X3250, 3 * 0.1) == IBM_SAMPLES[3]
 
+    def test_busy_host_on_a_zero_watt_idle_curve_draws_power(self):
+        # A utilization within float noise of 0 is still a busy host: it must
+        # not snap down to a 0 W idle sample. Only 0 itself reads sample 0.
+        curve = PowerModel("zero-idle", tuple(float(k) for k in range(11)))
+        assert interpolate_power(curve, 1e-12) > 0.0
+        assert interpolate_power(curve, 0.0) == curve.samples[0]
+
     @pytest.mark.parametrize("u", [-0.01, 1.01, 2.0])
     def test_rejects_out_of_range(self, u):
         with pytest.raises(ValueError):

@@ -337,7 +337,7 @@ class TestExact:
         # checked public path finds.
         inst = _corpus_style_instance()
         ev = EnergyEvaluator(inst)
-        scored = [(ev.try_energy(g, cache=False), g) for g in itertools.product(range(3), repeat=6)]
+        scored = [(ev.try_energy(g), g) for g in itertools.product(range(3), repeat=6)]
         feasible = [(e, g) for e, g in scored if e is not None]
         assert 0 < len(feasible) < len(scored)
         joules, genes = min(feasible)
