@@ -7,9 +7,8 @@ experiment    run BFD/GAPA/EXACT over a GA parameter grid with fixed seeds
 gen-workload  write the bundled sample timetable (and optionally a fleet file)
 validate      feasibility-check a placement file against an instance
 
-Reports are CSV (stable column order, 6-decimal kWh) or JSON. Wall-clock
-times are tracked per run but kept out of the serialized output so that
-identical inputs produce byte-identical report files.
+Reports are CSV (stable column order, 6-decimal kWh) or JSON. They hold no
+wall-clock times, so identical inputs produce byte-identical report files.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible or unrepairable
 instance, 4 I/O error.

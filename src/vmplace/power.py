@@ -148,9 +148,11 @@ def integrate_energy(
     """Exact energy of a feasible placement over [0, horizon), in one pass.
 
     Reads the event sweep of :func:`check_feasibility`, so a host's watts are
-    recomputed only when its VM set changes. A placement that is not total
-    raises ValueError; one over a capacity raises InfeasiblePlacementError
-    carrying the violations :func:`check_feasibility` lists.
+    recomputed only when its VM set changes. A placement that is not total,
+    or that leaves a busy host at utilization 0.0 because its demand is too
+    small to register, raises ValueError; one over a capacity raises
+    InfeasiblePlacementError carrying the violations
+    :func:`check_feasibility` lists.
     """
     empty = {h.id: (0.0, h.power_model.idle_watts if idle_hosts_powered else 0.0) for h in instance.hosts}
     rows = dict(empty)  # host id -> (utilization, watts) in the current segment
@@ -162,6 +164,8 @@ def integrate_energy(
         for host, pe_d, mips_d in changed:
             if pe_d:
                 u = min(mips_d / host.total_mips, 1.0)
+                if not u:
+                    raise ValueError(f"host {host.id}: {mips_d} MIPS of demand is too small to register")
                 rows[host.id] = (u, interpolate_power(host.power_model, u))
             else:
                 rows[host.id] = empty[host.id]
@@ -173,11 +177,9 @@ def integrate_energy(
     return EnergyReport(per_host, total, total * KWH_PER_JOULE, tuple(segments))
 
 
-#: What the evaluator's memo holds for a vector not scored yet, and for one
-#: :meth:`EnergyEvaluator.feasible` scored (it fits; its joules are not summed
-#: yet). Module globals, because an instance reads a class attribute slower.
+#: What the evaluator's memo holds for a vector not scored yet. A module
+#: global, because an instance reads a class attribute slower.
 _MISS = object()
-_FEASIBLE = object()
 
 
 @dataclass(slots=True)
@@ -191,13 +193,7 @@ class _Record:
     ``violation`` the earliest of them as (segment, host), None if there is
     none. ``term[k]`` is cell k's joules at its load, 0.0 when it is empty;
     the pass that changes a cell's MIPS load sets its term, so a record is
-    complete when its pass ends. A pass over the genes in index order first
-    touches the occupied cells in (lowest VM, segment) order, so ``order``
-    holds at each (VM, segment) slot the cell that VM is the lowest of in
-    that segment; a pass reads a changed cell's old lowest VM from its tuple
-    before the pass. A slot that names no cell holds the cell count, whose
-    term is a trailing 0.0: adding +0.0 leaves a sum that starts at
-    idle_base >= 0 bit-identical. The empty record's ``genes`` is None.
+    complete when its pass ends. The empty record's ``genes`` is None.
     """
 
     genes: Optional[Tuple[int, ...]]
@@ -207,13 +203,12 @@ class _Record:
     mips_load: List[float]
     bad: Set[int]
     term: List[float]
-    order: List[int]
 
     def copy(self) -> _Record:
         """A record equal to this one that shares no mutable container with it."""
         return _Record(
             self.genes, self.violation, self.vms_at[:], self.pe_load[:], self.mips_load[:],
-            set(self.bad), self.term[:], self.order[:],
+            set(self.bad), self.term[:],
         )
 
 
@@ -299,27 +294,28 @@ class EnergyEvaluator(_Tables):
 
     A load record (:class:`_Record`) holds, for one gene vector, each (host,
     segment) cell's VMs in ascending index order, its PE and MIPS load, the
-    violating cells, an energy term per cell and the order in which a count
-    from scratch first touches the occupied cells, which is the order energy
-    terms are summed in. :meth:`_compute` makes the record of the requested
-    genes current by moving a record it already has and recounting only the
-    cells whose VM set changed, from their VMs in index order, so every load
-    equals a count from scratch bit for bit, and it sets the term of every
-    cell whose MIPS load changed; the first pass is a move from the empty
-    record. So every record, kept or current, equals the one a fresh
-    evaluator makes of the same genes. A pass starts from the record of
-    :attr:`parent` when that is set and kept (and clears it), otherwise from
-    the current record. A search that builds a vector with :meth:`move`
-    names the VMs it moved, so the pass of that vector visits only them.
+    violating cells and an energy term per cell. The energy is the idle base
+    plus the exactly rounded :func:`math.fsum` of the terms, whatever order
+    the cells are visited in. :meth:`_compute` makes the record of the
+    requested genes current by moving a record it already has and
+    recounting only the cells whose VM set changed, from their VMs in index
+    order, so every load equals a count from scratch bit for bit, and it
+    sets the term of every cell whose MIPS load changed; the first pass is a
+    move from the empty record. So every record, kept or current, equals the
+    one a fresh evaluator makes of the same genes. A pass starts from the
+    record of :attr:`parent` when that is set and kept (and clears it),
+    otherwise from the current record. A search that builds a vector with
+    :meth:`move` names the VMs it moved, so the pass of that vector visits
+    only them.
     :meth:`first_violation`, :meth:`fits`, :meth:`host_vms`,
     :meth:`try_energy` and :meth:`snapshot_power` read the current record,
     making it first when asked about other genes. The instance tables and
     :meth:`watts_at`, the only place where load becomes watts, come from
     :class:`_Tables`, which the BFD baseline builds alone.
 
-    Results are memoized, but only for the vectors :meth:`try_energy` or
-    :meth:`feasible` is asked about; a vector memoized as feasible needs no
-    pass in :meth:`first_violation` either. The memo's key is the vector
+    Results are memoized, but only for the vectors :meth:`try_energy` is
+    asked about; a vector memoized as feasible needs no pass in
+    :meth:`first_violation` either. The memo's key is the vector
     packed with :mod:`struct` at one byte per gene up to 256 hosts, two up to
     65,536 and four beyond, so equal vectors share one entry whether they
     come as distinct tuples or as a list. A key takes 33 bytes plus the
@@ -339,7 +335,7 @@ class EnergyEvaluator(_Tables):
     """
 
     __slots__ = (
-        "idle", "idle_base", "_first_slot", "evaluations", "_cache", "_rec", "_kept",
+        "idle", "idle_base", "evaluations", "_cache", "_rec", "_kept",
         "_records", "parent", "_moved", "_pack", "_packed", "_packed_key",
     )
 
@@ -362,20 +358,10 @@ class EnergyEvaluator(_Tables):
         self._packed: Optional[Tuple[int, ...]] = None
         self._packed_key = b""
         self._cache: Dict[bytes, Optional[float]] = {}
-        # One slot per (VM, segment) pair, in that order: VM i's slot in
-        # segment s is _first_slot[i] + s.
-        self._first_slot = []
-        slots = 0
-        for a, b in self.spans:
-            self._first_slot.append(slots - a)
-            slots += b - a
         cells = m * self.nseg
         # The current record, at first the empty one. While _kept is set it is
         # also a kept one, which the next pass copies before changing it.
-        self._rec = _Record(
-            None, None, [()] * cells, [0] * cells, [0.0] * cells, set(),
-            [0.0] * (cells + 1), [cells] * slots,
-        )
+        self._rec = _Record(None, None, [()] * cells, [0] * cells, [0.0] * cells, set(), [0.0] * cells)
         self._kept = False
         # Kept records by genes.
         self._records: Dict[Tuple[int, ...], _Record] = {}
@@ -390,10 +376,6 @@ class EnergyEvaluator(_Tables):
         key = self._packed_key if genes is self._packed else self._key(genes)
         val = self._cache.get(key, _MISS)
         if val is not _MISS:
-            if val is _FEASIBLE:
-                # Counted when feasible() scored it; only the joules are new.
-                self._violation(genes)
-                val = self._cache[key] = self._energy()
             return val
         if type(genes) is not tuple:
             genes = tuple(genes)
@@ -401,19 +383,6 @@ class EnergyEvaluator(_Tables):
         val = None if self._violation(genes) else self._energy()
         self._remember(genes, key, val)
         return val
-
-    def feasible(self, genes: Sequence[int]) -> bool:
-        """Whether the placement fits every host. Memoized and counted as an
-        evaluation like :meth:`try_energy`, but sums no joules."""
-        key = self._packed_key if genes is self._packed else self._key(genes)
-        val = self._cache.get(key, _MISS)
-        if val is _MISS:
-            if type(genes) is not tuple:
-                genes = tuple(genes)
-            self.evaluations += 1
-            val = None if self._violation(genes) else _FEASIBLE
-            self._remember(genes, key, val)
-        return val is not None
 
     def _key(self, genes: Sequence[int]) -> bytes:
         """The memo key of ``genes``, kept until another tuple is packed when
@@ -485,12 +454,9 @@ class EnergyEvaluator(_Tables):
         are recounted, each from its VMs in ascending index order with
         left-to-right addition, never by adding and subtracting the moved VMs:
         the loads stay exactly those of a count from scratch, including at an
-        exact capacity fill. The first-touch order of the occupied cells is
-        kept by the same pass: only a recounted cell whose lowest VM changed,
-        read from its tuple before the pass and after, moves to another slot.
-        A recounted cell whose MIPS load changed gets its term from
-        :meth:`watts_at`, less the idle draw when idle hosts are powered, or
-        0.0 when it empties. ``genes`` are one int per VM; one that is no
+        exact capacity fill. A recounted cell whose MIPS load changed gets its
+        term from :meth:`watts_at`, less the idle draw when idle hosts are
+        powered, or 0.0 when it empties. ``genes`` are one int per VM; one that is no
         host index raises ValueError and leaves every record as it was.
         """
         rec, kept = self._rec, self._kept
@@ -520,8 +486,8 @@ class EnergyEvaluator(_Tables):
         self._kept = False
         vms_at = rec.vms_at
         cell_runs = self.cell_runs
-        # Each changed cell's VMs as they were before this pass.
-        dirty: Dict[int, Tuple[int, ...]] = {}
+        # The cells whose VM set this pass changes.
+        dirty: Set[int] = set()
         for i in changed:
             was = old[i]
             now = genes[i]
@@ -531,12 +497,12 @@ class EnergyEvaluator(_Tables):
                     at = vms_at[k]
                     j = at.index(i)
                     vms_at[k] = at[:j] + at[j + 1 :]
-                    dirty.setdefault(k, at)
+                    dirty.add(k)
                 k = off + now
                 at = vms_at[k]
                 j = bisect_left(at, i)
                 vms_at[k] = at[:j] + (i,) + at[j:]
-                dirty.setdefault(k, at)
+                dirty.add(k)
         pe = self.pe
         eff = self.eff
         host_pe = self.host_pe
@@ -549,10 +515,7 @@ class EnergyEvaluator(_Tables):
         tables = self.tables
         idle = self.idle
         seg_len = self.seg_len
-        first_slot = self._first_slot
-        order = rec.order
-        empty = len(pe_l)
-        for k, before in dirty.items():
+        for k in dirty:
             h = k % m
             vms = vms_at[k]
             p = 0
@@ -574,30 +537,15 @@ class EnergyEvaluator(_Tables):
                 bad.add(k)
             else:
                 bad.discard(k)
-            low = vms[0] if vms else -1
-            old_low = before[0] if before else -1
-            if low != old_low:
-                s = k // m
-                # Another dirty cell may already have taken the old slot: its
-                # VM moved there within the same segment.
-                if old_low >= 0 and order[first_slot[old_low] + s] == k:
-                    order[first_slot[old_low] + s] = empty
-                if low >= 0:
-                    order[first_slot[low] + s] = k
         rec.genes = genes
         rec.violation = divmod(min(bad), m) if bad else None
         return rec.violation
 
     def _energy(self) -> float:
-        """Total joules of the current record, which must be feasible: its
-        terms summed after the idle base in the first-touch order the pass
-        keeps, so no call sorts and nothing is written."""
-        rec = self._rec
-        term = rec.term
-        total = self.idle_base
-        for k in rec.order:
-            total += term[k]
-        return total
+        """Total joules of the current record, which must be feasible: the
+        idle base plus the exactly rounded sum of its terms, so the cells'
+        order does not matter and nothing is written."""
+        return self.idle_base + math.fsum(self._rec.term)
 
     def move(self, genes: Tuple[int, ...], vms: Iterable[int], host: int) -> Tuple[int, ...]:
         """``genes`` with every VM in ``vms`` on ``host``, as a tuple.
@@ -671,21 +619,17 @@ class EnergyEvaluator(_Tables):
     def snapshot_power(self, genes) -> float:
         """Aggregate host watts at the instant of peak total MIPS demand.
 
-        The peak instant is the earliest segment with maximal total demand.
-        Assumes a feasible gene vector.
+        The peak instant is the earliest segment with maximal total demand,
+        each segment's demand the exactly rounded sum of its cells' MIPS
+        loads. Assumes a feasible gene vector.
         """
         nseg = self.nseg
         if not nseg:
             return 0.0
         self._violation(genes)  # the record now holds the loads of ``genes``
         m = self.host_count
-        rec = self._rec
-        mips_l = rec.mips_load
-        seg_total = [0.0] * nseg
-        empty = len(mips_l)
-        for k in rec.order:
-            if k != empty:
-                seg_total[k // m] += mips_l[k]
+        mips_l = self._rec.mips_load
+        seg_total = [math.fsum(mips_l[s * m : s * m + m]) for s in range(nseg)]
         peak = max(range(nseg), key=lambda s: (seg_total[s], -s))
         total = 0.0
         base = peak * m

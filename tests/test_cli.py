@@ -500,6 +500,27 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_validate_refuses_a_busy_host_whose_load_divides_to_zero(self, tmp_path, monkeypatch, capsys):
+        """A placement made at 1e-7 MIPS per PE checks out at that demand; at
+        1e-320 each busy host's utilization underflows to 0, and validate
+        refuses it as the solvers refuse the instance."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "one.csv").write_text("day,subject,class_id,group_id,students,slot_mask,duration_s\n6,1,C1,G1,3,12-,5400\n")
+        fleet = {
+            "entries": [{"model": "zero", "count": 2, "pe_count": 4, "mips_per_pe": 2933.0}],
+            "power_models": [{"name": "zero", "samples": list(range(11))}],
+        }
+        (tmp_path / "zero-idle.json").write_text(json.dumps(fleet))
+        inputs = ["--workload", "one.csv", "--fleet", "zero-idle.json"]
+        solve = ["solve", "--solver", "bfd", "--out", "r.csv", "--dump-placements"] + inputs
+        assert main(solve + ["--vm-mips", "1e-7"]) == EXIT_OK
+        validate = ["validate", "--placement", "r.bfd.placement"] + inputs
+        assert main(validate + ["--vm-mips", "1e-7"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert main(validate + ["--vm-mips", "1e-320"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_infeasible_placement_exits_infeasible(self, tmp_path):
         # All 211 single-core VMs on one 16-core host cannot be feasible.
         inst = build_instance(small_config())

@@ -8,6 +8,7 @@ last pass. Seeded walks move one evaluator's record step by step and compare
 every answer with ``==`` against an evaluator built fresh for each step.
 """
 
+import math
 import random
 import struct
 
@@ -226,18 +227,17 @@ class TestLastPassRecord:
         assert passes == []
 
 
-def _first_touch_energy(inst, genes, idle):
+def _exact_sum_energy(inst, genes, idle):
     """Joules summed as the evaluator must sum them: each (host, segment)
-    cell's MIPS added in VM order, then the cells' terms after the idle base
-    in the order a pass over the genes first touches the cells."""
+    cell's MIPS added in VM order, then the idle base plus the exactly
+    rounded sum of the cells' terms."""
     segs = inst.segments
     cells = {}
     for i, v in enumerate(inst.vms):
         for s, (t0, _t1) in enumerate(segs):
             if v.active_at(t0):
                 cells.setdefault((genes[i], s), []).append(v)
-    idle_watts = ordered_sum(h.power_model.idle_watts for h in inst.hosts)
-    total = idle_watts * inst.horizon if idle else 0.0
+    terms = []
     for (h, s), vms in cells.items():
         host = inst.hosts[h]
         mips = 0.0
@@ -246,8 +246,9 @@ def _first_touch_energy(inst, genes, idle):
         watts = interpolate_power(host.power_model, min(mips / host.total_mips, 1.0))
         if idle:
             watts -= host.power_model.idle_watts
-        total += watts * (segs[s][1] - segs[s][0])
-    return total
+        terms.append(watts * (segs[s][1] - segs[s][0]))
+    idle_watts = ordered_sum(h.power_model.idle_watts for h in inst.hosts)
+    return (idle_watts * inst.horizon if idle else 0.0) + math.fsum(terms)
 
 
 def _walk(inst, rng, steps):
@@ -299,7 +300,7 @@ class TestMovingRecord:
         energy = _pass_energy(walker, tuple(genes))
         assert energy == _pass_energy(fresh, tuple(genes))
         if expected is None:
-            assert energy == _first_touch_energy(inst, genes, walker.idle)
+            assert energy == _exact_sum_energy(inst, genes, walker.idle)
             report = integrate_energy(placement_from_genes(genes, inst), inst, walker.idle)
             assert energy == pytest.approx(report.total_joules, rel=1e-12)
         else:
@@ -333,7 +334,7 @@ class TestMovingRecord:
         entry_points = (
             lambda ev, bad: ev.first_violation(bad),
             lambda ev, bad: ev.try_energy(tuple(bad)),
-            lambda ev, bad: ev.feasible(tuple(bad)),
+            lambda ev, bad: ev.try_energy(bad),
         )
         # The record readers answer from the record a vector equal to its
         # genes, even one holding 1.0, so they must refuse only vectors that
@@ -381,7 +382,7 @@ class TestMovingRecord:
 def _own_record(inst, genes, idle):
     """A fresh evaluator's record of ``genes``."""
     ev = EnergyEvaluator(inst, idle)
-    ev.feasible(genes)
+    ev.try_energy(genes)
     return ev._records[genes]
 
 
@@ -391,7 +392,7 @@ class TestKeptRecords:
     def _score(self, ev, genes, mode):
         if mode == "energy":
             return ev.try_energy(genes)
-        return ev.snapshot_power(genes) if ev.feasible(genes) else None
+        return ev.snapshot_power(genes) if ev.try_energy(genes) is not None else None
 
     def _child(self, rng, parent, pool, m):
         genes = list(parent)
@@ -430,7 +431,7 @@ class TestKeptRecords:
                             feasible += 1
                             report = integrate_energy(placement_from_genes(child, inst), inst, idle)
                             if mode == "energy":
-                                assert got == _first_touch_energy(inst, child, idle)
+                                assert got == _exact_sum_energy(inst, child, idle)
                                 assert got == pytest.approx(report.total_joules, rel=1e-12)
                         else:
                             assert got is None
@@ -464,15 +465,15 @@ class TestKeptRecords:
 
     @pytest.mark.parametrize("idle", [False, True])
     def test_energy_of_a_kept_vector_leaves_its_record_as_it_was(self, idle):
-        # feasible() keeps the record without summing joules; try_energy()
-        # then sums the kept record's terms and writes nothing into it.
+        # try_energy() keeps the current record; summing its terms again
+        # writes nothing into it.
         inst = _spanning_instance()
         ev = EnergyEvaluator(inst, idle)
         for genes in [(0, 1, 2, 0, 1, 2), (2, 2, 2, 2, 2, 0), (0, 0, 1, 1, 2, 2)]:
-            assert ev.feasible(genes)
+            assert ev.try_energy(genes) is not None
             before = ev._records[genes].copy()
             assert before == _own_record(inst, genes, idle)
-            assert ev.try_energy(genes) == EnergyEvaluator(inst, idle).try_energy(genes)
+            assert ev._energy() == EnergyEvaluator(inst, idle).try_energy(genes)
             assert ev._records[genes] == before
 
     def test_record_count_is_bounded(self):
@@ -480,7 +481,7 @@ class TestKeptRecords:
         ev = EnergyEvaluator(inst)
         for code in range(3**6):
             genes = tuple(code // 3**i % 3 for i in range(6))
-            ev.feasible(genes)
+            ev.try_energy(genes)
             assert len(ev._records) <= ev._RECORD_LIMIT
 
 
@@ -512,7 +513,7 @@ class TestMemoKeys:
             energy = ev.try_energy(genes)
             assert ev.try_energy(tuple(list(genes))) == energy
             assert ev.try_energy(list(genes)) == energy
-            assert ev.feasible(list(genes)) is (energy is not None)
+            assert ev.try_energy(genes) == energy
             assert ev.first_violation(list(genes)) == _expected_violation(inst, genes)
             assert len(ev._cache) == 1 and ev.evaluations == 1
             self._assert_keys(ev, inst, 2)
@@ -540,7 +541,7 @@ class TestMemoKeys:
         inst = _spanning_instance()
         ev = EnergyEvaluator(inst)
         for code in range(3**6):
-            ev.feasible(tuple(code // 3**i % 3 for i in range(6)))
+            ev.try_energy(tuple(code // 3**i % 3 for i in range(6)))
         assert len(ev._cache) == 3**6
         self._assert_keys(ev, inst, 1)
 
@@ -552,7 +553,7 @@ class TestMoves:
     def _score(self, ev, genes, mode):
         if mode == "energy":
             return ev.try_energy(genes)
-        return ev.snapshot_power(genes) if ev.feasible(genes) else None
+        return ev.snapshot_power(genes) if ev.try_energy(genes) is not None else None
 
     def _next(self, ev, rng, genes, pool, m):
         """The next vector of a walk: mostly moves, chained or not, sometimes
@@ -607,7 +608,7 @@ class TestMoves:
                         if expected is None:
                             feasible += 1
                             if mode == "energy":
-                                assert got == _first_touch_energy(inst, genes, idle)
+                                assert got == _exact_sum_energy(inst, genes, idle)
                                 report = integrate_energy(placement_from_genes(genes, inst), inst, idle)
                                 assert got == pytest.approx(report.total_joules, rel=1e-12)
                         else:
@@ -631,7 +632,7 @@ class TestMoves:
                 energy = ev.try_energy(moved)
                 assert energy == EnergyEvaluator(inst, idle).try_energy(moved)
                 if _expected_violation(inst, moved) is None:
-                    assert energy == _first_touch_energy(inst, moved, idle)
+                    assert energy == _exact_sum_energy(inst, moved, idle)
                 assert ev._rec == _own_record(inst, moved, idle)
                 back = ev.move(moved, (0,), src)
                 assert back == genes
@@ -675,10 +676,9 @@ class TestMoves:
             assert ev._rec == _own_record(inst, genes, False)
 
 
-class TestFirstTouchOrder:
+class TestLowestVmChanges:
     """One segment, two hosts, three VMs: passes that change which VM is the
-    lowest of a cell, so the pass must move cells between (VM, segment) slots
-    of ``order``."""
+    lowest of a cell, from the current record and from a kept one."""
 
     # VMs of different sizes, so the two cells' energy terms differ.
     INSTANCE = ProblemInstance(
@@ -691,15 +691,13 @@ class TestFirstTouchOrder:
     @pytest.mark.parametrize(
         "start, target",
         [
-            # Both cells swap their lowest VMs: each takes the slot the other
-            # leaves, in whichever order the pass recounts them.
+            # Both cells swap their lowest VMs.
             ((0, 1, 1), (1, 0, 1)),
-            # A lower VM arrives while the old lowest VM stays: the cell
-            # leaves VM 1's slot for VM 0's.
+            # A lower VM arrives while the old lowest VM stays.
             ((1, 0, 0), (0, 0, 0)),
         ],
     )
-    def test_pass_keeps_the_order_a_fresh_evaluator_makes(self, start, target, from_parent, idle):
+    def test_pass_makes_the_record_a_fresh_evaluator_makes(self, start, target, from_parent, idle):
         inst = self.INSTANCE
         ev = EnergyEvaluator(inst, idle)
         ev.try_energy(start)
@@ -711,4 +709,32 @@ class TestFirstTouchOrder:
         energy = ev.try_energy(target)
         assert ev._rec == _own_record(inst, target, idle)
         assert ev._records[start] == _own_record(inst, start, idle)
-        assert energy == ev._energy() == _first_touch_energy(inst, target, idle)
+        assert energy == ev._energy() == _exact_sum_energy(inst, target, idle)
+
+
+class TestVmOrder:
+    """With integer per-PE MIPS every cell's load sums exactly in any VM
+    order, so one placement listed in another VM order has the same cell
+    terms, and its joules must not depend on which VM comes first."""
+
+    @pytest.mark.parametrize("idle", [False, True])
+    def test_permuting_the_vms_leaves_the_energy_bit_identical(self, idle):
+        rng = random.Random(47)
+        scored = 0
+        for seed in range(300):
+            inst = mixed_class_instance(seed, 12, 5, 4)
+            n, m = len(inst.vms), len(inst.hosts)
+            try:
+                genes = repair(tuple(rng.randrange(m) for _ in range(n)), EnergyEvaluator(inst), rng)
+            except UnrepairableError:
+                continue
+            perm = list(range(n))
+            rng.shuffle(perm)
+            shuffled = ProblemInstance(
+                tuple(inst.vms[p] for p in perm), inst.hosts, cap_demand_to_core=inst.cap_demand_to_core
+            )
+            energy = EnergyEvaluator(inst, idle).try_energy(genes)
+            assert energy is not None
+            assert EnergyEvaluator(shuffled, idle).try_energy(tuple(genes[p] for p in perm)) == energy
+            scored += 1
+        assert scored > 250

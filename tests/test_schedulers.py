@@ -242,8 +242,8 @@ class TestGapa:
 
     @pytest.mark.parametrize("mode", ["energy", "snapshot_power"])
     def test_joule_sums_only_in_energy_mode(self, mode, monkeypatch):
-        # Snapshot fitness needs feasibility and peak watts, not joules; each
-        # new vector still counts as one evaluation in both modes.
+        # Each new vector counts as one evaluation and sums its joules once
+        # in both modes: snapshot fitness learns feasibility from try_energy.
         sums = []
         energy = EnergyEvaluator._energy
 
@@ -255,7 +255,7 @@ class TestGapa:
         inst = mixed_class_instance(3, 40, 10, 8)
         result = gapa_schedule(inst, GaConfig(generations=30, seed=1, fitness_mode=mode))
         assert result.stats["evaluations"] > 0
-        assert len(sums) == (result.stats["evaluations"] if mode == "energy" else 0)
+        assert len(sums) == result.stats["evaluations"]
 
     def test_kept_records_stay_within_two_populations(self, monkeypatch):
         alive = []
