@@ -181,6 +181,31 @@ def integrate_energy(
 #: global, because an instance reads a class attribute slower.
 _MISS = object()
 
+#: The :mod:`struct` and :class:`memoryview` format of a memo key's genes,
+#: by bytes per gene.
+_LANES = {1: "B", 2: "H", 4: "I"}
+
+
+def _changed_genes(
+    old: Sequence[int], genes: Sequence[int], diff: Optional[int], width: int
+) -> List[int]:
+    """Ascending indices of the genes in which ``genes`` differ from ``old``.
+
+    ``diff`` is the XOR of the two vectors' memo keys read as ints, at
+    ``width`` bytes per gene, or None when either key is unknown. The
+    changed genes are its non-zero lanes, found in C; without it every gene
+    is compared.
+    """
+    n = len(genes)
+    if diff is None:
+        return list(compress(range(n), map(ne, old, genes)))
+    if not diff:
+        return []
+    lanes = diff.to_bytes(n * width, "little")
+    if width > 1:
+        lanes = memoryview(lanes).cast(_LANES[width])
+    return list(compress(range(n), lanes))
+
 
 @dataclass(slots=True)
 class _Record:
@@ -193,10 +218,15 @@ class _Record:
     ``violation`` the earliest of them as (segment, host), None if there is
     none. ``term[k]`` is cell k's joules at its load, 0.0 when it is empty;
     the pass that changes a cell's MIPS load sets its term, so a record is
-    complete when its pass ends. The empty record's ``genes`` is None.
+    complete when its pass ends. ``key`` is the memo key of ``genes`` read
+    as a little-endian int, or None when the pass that made the record was
+    of a vector not packed (an unpacked :meth:`EnergyEvaluator._compute`
+    call); it takes part in equality like every other field. The empty
+    record's ``genes`` and ``key`` are None.
     """
 
     genes: Optional[Tuple[int, ...]]
+    key: Optional[int]
     violation: Optional[Tuple[int, int]]
     vms_at: List[Tuple[int, ...]]
     pe_load: List[int]
@@ -207,7 +237,7 @@ class _Record:
     def copy(self) -> _Record:
         """A record equal to this one that shares no mutable container with it."""
         return _Record(
-            self.genes, self.violation, self.vms_at[:], self.pe_load[:], self.mips_load[:],
+            self.genes, self.key, self.violation, self.vms_at[:], self.pe_load[:], self.mips_load[:],
             set(self.bad), self.term[:],
         )
 
@@ -302,11 +332,18 @@ class EnergyEvaluator(_Tables):
     order, so every load equals a count from scratch bit for bit, and it
     sets the term of every cell whose MIPS load changed; the first pass is a
     move from the empty record. So every record, kept or current, equals the
-    one a fresh evaluator makes of the same genes. A pass starts from the
-    record of :attr:`parent` when that is set and kept (and clears it),
-    otherwise from the current record. A search that builds a vector with
-    :meth:`move` names the VMs it moved, so the pass of that vector visits
-    only them.
+    one a fresh evaluator makes of the same genes. A search may name a
+    vector's two parents in :attr:`parent` and :attr:`other_parent`; the pass
+    of that vector then starts from the kept record of the one whose memo
+    key differs from the vector's in fewer bits, :attr:`parent`'s on a tie,
+    and clears both hints. Without a kept hinted record it starts from the
+    current record. Each record keeps its vector's memo key as an int, so a
+    pass finds the genes that differ from the record it starts from as the
+    non-zero lanes of the two keys' XOR, in C, rather than comparing gene by
+    gene; only a pass from the empty record, or from or of a vector that was
+    never packed, compares every gene.
+    A search that builds a vector with :meth:`move` names the VMs it moved,
+    so the pass of that vector visits only them.
     :meth:`first_violation`, :meth:`fits`, :meth:`host_vms`,
     :meth:`try_energy` and :meth:`snapshot_power` read the current record,
     making it first when asked about other genes. The instance tables and
@@ -336,7 +373,8 @@ class EnergyEvaluator(_Tables):
 
     __slots__ = (
         "idle", "idle_base", "evaluations", "_cache", "_rec", "_kept",
-        "_records", "parent", "_moved", "_pack", "_packed", "_packed_key",
+        "_records", "parent", "other_parent", "_moved", "_width", "_pack", "_packed",
+        "_packed_key",
     )
 
     _CACHE_GENES = 15_000_000
@@ -351,8 +389,8 @@ class EnergyEvaluator(_Tables):
         self.evaluations = 0
         # Memo keys: every gene in as few bytes as the largest host index needs.
         m = self.host_count
-        width = "B" if m <= 1 << 8 else "H" if m <= 1 << 16 else "I"
-        self._pack = struct.Struct(f"<{len(instance.vms)}{width}").pack
+        self._width = 1 if m <= 1 << 8 else 2 if m <= 1 << 16 else 4
+        self._pack = struct.Struct(f"<{len(instance.vms)}{_LANES[self._width]}").pack
         # The last tuple packed and its key; callers check for it before
         # they call _key.
         self._packed: Optional[Tuple[int, ...]] = None
@@ -361,13 +399,14 @@ class EnergyEvaluator(_Tables):
         cells = m * self.nseg
         # The current record, at first the empty one. While _kept is set it is
         # also a kept one, which the next pass copies before changing it.
-        self._rec = _Record(None, None, [()] * cells, [0] * cells, [0.0] * cells, set(), [0.0] * cells)
+        self._rec = _Record(None, None, None, [()] * cells, [0] * cells, [0.0] * cells, set(), [0.0] * cells)
         self._kept = False
         # Kept records by genes.
         self._records: Dict[Tuple[int, ...], _Record] = {}
-        #: Genes of a kept record that the next load pass should start from;
-        #: a search sets it to a child's parent. Only a pass reads it.
+        #: Genes of kept records that the next load pass may start from; a
+        #: search sets them to a child's two parents. Only a pass reads them.
         self.parent: Optional[Tuple[int, ...]] = None
+        self.other_parent: Optional[Tuple[int, ...]] = None
         # The last move(): (moved genes, genes it started from, VMs changed).
         self._moved: Optional[Tuple[Tuple[int, ...], Sequence[int], List[int]]] = None
 
@@ -392,7 +431,7 @@ class EnergyEvaluator(_Tables):
         try:
             key = self._pack(*genes)
         except struct.error:
-            self.parent = None
+            self.parent = self.other_parent = None
             self._moved = None
             n, m = len(self.spans), self.host_count
             if len(genes) != n:
@@ -446,11 +485,16 @@ class EnergyEvaluator(_Tables):
         """Make the record of ``genes`` current and return the earliest
         (segment_index, host_index) whose capacity is exceeded.
 
-        The pass starts from the kept record of :attr:`parent` if there is
-        one, else from the current record. When ``genes`` is the vector the
-        last :meth:`move` returned and the pass starts from the record of the
+        The pass starts from the nearer kept record of :attr:`parent` and
+        :attr:`other_parent` (:meth:`_nearer_parent`) if either is kept, else
+        from the current record. When ``genes`` is the vector the last
+        :meth:`move` returned and the pass starts from the record of the
         vector that move started from, only the moved VMs are visited;
-        otherwise every gene is compared. Only the cells whose VM set changes
+        otherwise :func:`_changed_genes` finds the genes that differ, from
+        the memo keys when ``genes`` is the tuple :meth:`_key` packed last
+        and the record's key is known, else gene by gene. ``genes`` may also
+        be a tuple that was never packed, as the exact oracle passes; its
+        record then has no key. Only the cells whose VM set changes
         are recounted, each from its VMs in ascending index order with
         left-to-right addition, never by adding and subtracting the moved VMs:
         the loads stay exactly those of a count from scratch, including at an
@@ -460,9 +504,9 @@ class EnergyEvaluator(_Tables):
         host index raises ValueError and leaves every record as it was.
         """
         rec, kept = self._rec, self._kept
-        if self.parent is not None:
-            base = self._records.get(self.parent)
-            self.parent = None
+        key = int.from_bytes(self._packed_key, "little") if genes is self._packed else None
+        if self.parent is not None or self.other_parent is not None:
+            base = self._nearer_parent(key)
             if base is not None:
                 rec, kept = base, True
         moved = self._moved
@@ -471,10 +515,10 @@ class EnergyEvaluator(_Tables):
         if moved is not None and moved[0] is genes and moved[1] is old:
             changed = moved[2]
         else:
-            n = len(self.spans)
             # The empty record places every VM on host -1.
-            old = old or (-1,) * n
-            changed = list(compress(range(n), map(ne, old, genes)))
+            old = old or (-1,) * len(genes)
+            diff = None if key is None or rec.key is None else key ^ rec.key
+            changed = _changed_genes(old, genes, diff, self._width)
         m = self.host_count
         for i in changed:
             if not 0 <= genes[i] < m:
@@ -538,8 +582,24 @@ class EnergyEvaluator(_Tables):
             else:
                 bad.discard(k)
         rec.genes = genes
+        rec.key = key
         rec.violation = divmod(min(bad), m) if bad else None
         return rec.violation
+
+    def _nearer_parent(self, key: Optional[int]) -> Optional[_Record]:
+        """Clear both parent hints and return the kept record of the hinted
+        parent whose memo key differs from ``key`` in fewer bits, that of
+        :attr:`parent` on a tie or when a key is unknown; None when neither
+        is kept."""
+        records = self._records
+        first = records.get(self.parent)
+        second = records.get(self.other_parent)
+        self.parent = self.other_parent = None
+        if first is None:
+            return second
+        if second is None or None in (key, first.key, second.key):
+            return first
+        return second if (key ^ second.key).bit_count() < (key ^ first.key).bit_count() else first
 
     def _energy(self) -> float:
         """Total joules of the current record, which must be feasible: the

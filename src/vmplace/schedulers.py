@@ -340,10 +340,14 @@ def gapa_schedule(
     elite keeps the fitness it had.
 
     Each run builds its own :class:`EnergyEvaluator`, which keeps the load
-    record of every individual it scores. A child's first load pass starts
-    from its parent's record (``p1``'s for the first crossover child,
-    ``p2``'s for the second), which differs from it in the crossover tail and
-    the mutated genes, not from the record of the child built before it.
+    record of every individual it scores. Each child names both of its
+    parents (:attr:`EnergyEvaluator.parent` is the one that gave its head,
+    ``other_parent`` the one that gave its tail), and its first load pass
+    starts from the record of the parent nearer to it, the one whose memo key
+    differs from the child's in fewer bits. So the pass visits the genes the
+    child took from the other parent, mostly the shorter side of the cut,
+    and its mutated genes, not the genes in which it differs from the child
+    built before it.
     After each generation the records of individuals that left the
     population are dropped, so at most two populations' records are alive.
 
@@ -382,11 +386,12 @@ def gapa_schedule(
         while len(new_pop) < size:
             p1, p2 = select_parents(population, wheel, rng)
             c1, c2 = crossover(p1, p2, p_cross, rng)
-            for child, parent in ((c1, p1), (c2, p2)):
+            for child, parent, other in ((c1, p1, p2), (c2, p2, p1)):
                 if len(new_pop) >= size:
                     break
                 child = mutate(child, p_mut, m, rng)
                 ev.parent = parent
+                ev.other_parent = other
                 child = repair(child, ev, rng)
                 child = move_host(child, p_mut, ev, rng)
                 new_pop.append(child)

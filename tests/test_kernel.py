@@ -8,6 +8,8 @@ last pass. Seeded walks move one evaluator's record step by step and compare
 every answer with ``==`` against an evaluator built fresh for each step.
 """
 
+import dataclasses
+import itertools
 import math
 import random
 import struct
@@ -27,6 +29,7 @@ from vmplace import (
     UnrepairableError,
     repair,
 )
+from vmplace import power
 from vmplace.model import MIPS_EPS
 from vmplace.power import ordered_sum
 
@@ -379,6 +382,16 @@ class TestMovingRecord:
         assert walker.first_violation((0,) * 8 + (1,)) is None
 
 
+def _spy_on_starts(monkeypatch):
+    """The genes of the record that each load pass from now on starts from,
+    in pass order, all -1 for the empty record. The pass of a moved vector
+    visits the moved VMs and is not listed."""
+    starts = []
+    finder = power._changed_genes
+    monkeypatch.setattr(power, "_changed_genes", lambda old, *args: starts.append(old) or finder(old, *args))
+    return starts
+
+
 def _own_record(inst, genes, idle):
     """A fresh evaluator's record of ``genes``."""
     ev = EnergyEvaluator(inst, idle)
@@ -444,6 +457,90 @@ class TestKeptRecords:
         assert feasible > steps // 4 and feasible < steps
         assert hinted > steps // 3
 
+    def test_children_hinted_with_both_parents_match_fresh_evaluators(self, monkeypatch):
+        # Each hint names a kept parent, a vector whose record is not kept,
+        # or nothing; the pass starts from the nearer kept parent, if any.
+        starts = _spy_on_starts(monkeypatch)
+        rng = random.Random(53)
+        instances = [_exact_fill_instance(), _spanning_instance()]
+        instances += [mixed_class_instance(seed, 10, 5, 3) for seed in range(4)]
+        steps = from_other = 0
+        for inst in instances:
+            n, m = len(inst.vms), len(inst.hosts)
+            for idle in (False, True):
+                ev = EnergyEvaluator(inst, idle_hosts_powered=idle)
+                pool = [tuple(rng.randrange(m) for _ in range(n)) for _ in range(4)]
+                for genes in pool:
+                    ev.try_energy(genes)
+                for _ in range(30):
+                    p1, p2 = rng.choice(pool), rng.choice(pool)
+                    cut = rng.randrange(1, n)
+                    child = list(p1[:cut] + p2[cut:])
+                    for _ in range(rng.randrange(3)):
+                        child[rng.randrange(n)] = rng.randrange(m)
+                    child = tuple(child)
+                    if child in pool:
+                        continue  # the memo answers without a pass
+                    unkept = tuple(rng.randrange(m) for _ in range(n))
+                    ev.parent = rng.choice((p1, p1, unkept, None))
+                    ev.other_parent = rng.choice((p2, p2, unkept, None))
+                    hinted = [g for g in (ev.parent, ev.other_parent) if g in ev._records]
+                    del starts[:]
+                    got = ev.try_energy(child)
+                    assert ev.parent is None and ev.other_parent is None
+                    assert got == EnergyEvaluator(inst, idle).try_energy(child)
+                    assert ev._rec == _own_record(inst, child, idle)
+                    if starts and hinted:
+                        assert starts[0] in hinted
+                        from_other += starts[0] == p2 != p1 and len(hinted) == 2
+                    steps += 1
+                    pool.append(child)
+                    if rng.random() < 0.1:
+                        ev.keep_records(rng.sample(pool, 4))
+                for genes, rec in ev._records.items():
+                    assert rec == _own_record(inst, genes, idle)
+        assert from_other > 10
+
+    @pytest.mark.parametrize("hints", list(itertools.product(("near", "far", "unkept", None), repeat=2)))
+    def test_pass_starts_from_the_nearer_kept_parent(self, hints, monkeypatch):
+        inst = mixed_class_instance(5, 12, 5, 3)
+        n, m = len(inst.vms), len(inst.hosts)
+        far = tuple(random.Random(43).randrange(m) for _ in range(n))
+        named = {"far": far, None: None}
+        # Each differs from ``far`` in every gene.
+        for shift, name in enumerate(("near", "unkept", "last"), 1):
+            named[name] = tuple((g + shift) % m for g in far)
+        # The child's head comes from ``near``: it differs from ``near`` in
+        # its last two genes and from ``far`` in all the others.
+        child = named["near"][:-2] + far[-2:]
+        ev = EnergyEvaluator(inst)
+        for name in ("far", "near", "last"):
+            ev.try_energy(named[name])
+        starts = _spy_on_starts(monkeypatch)
+        ev.parent, ev.other_parent = (named[h] for h in hints)
+        ev.try_energy(child)
+        expected = "near" if "near" in hints else "far" if "far" in hints else "last"
+        assert starts == [named[expected]]
+        assert ev.parent is None and ev.other_parent is None
+        assert ev._rec == _own_record(inst, child, False)
+        for name in ("far", "near", "last"):
+            assert ev._records[named[name]] == _own_record(inst, named[name], False)
+
+    def test_an_equally_near_parent_wins_over_the_other(self, monkeypatch):
+        inst = _spanning_instance()
+        child = (0, 0, 1, 1, 2, 2)
+        # Each parent's key differs from the child's in one bit.
+        a, b = (1, 0, 1, 1, 2, 2), (0, 1, 1, 1, 2, 2)
+        starts = _spy_on_starts(monkeypatch)
+        for parent, other in ((a, b), (b, a)):
+            ev = EnergyEvaluator(inst)
+            ev.try_energy(a)
+            ev.try_energy(b)
+            ev.parent, ev.other_parent = parent, other
+            assert ev.first_violation(child) == _expected_violation(inst, child)
+            assert starts.pop() == parent
+            assert ev._rec == _own_record(inst, child, False)
+
     def test_rejected_vector_leaves_kept_records_unchanged(self):
         inst = _spanning_instance()
         ev = EnergyEvaluator(inst)
@@ -452,11 +549,12 @@ class TestKeptRecords:
             ev.try_energy(genes)
         before = {g: _own_record(inst, g, False) for g in kept}
         for bad in ([0, 1, 0, 3, 0, 1], [2, 1, 0, 1, 0, -1], [0, 1, 0], (0,) * 7):
-            for parent in (None, kept[0], kept[2]):
+            for parent, other in itertools.product((None, kept[0], kept[2]), (None, kept[1], kept[2])):
                 ev.parent = parent
+                ev.other_parent = other
                 with pytest.raises(ValueError):
                     ev.first_violation(bad)
-                assert ev.parent is None
+                assert ev.parent is None and ev.other_parent is None
                 assert ev._records == before
         ev.parent = kept[1]
         child = (2, 2, 2, 2, 2, 0)
@@ -483,6 +581,73 @@ class TestKeptRecords:
             genes = tuple(code // 3**i % 3 for i in range(6))
             ev.try_energy(genes)
             assert len(ev._records) <= ev._RECORD_LIMIT
+
+
+class TestChangedGenes:
+    """``power._changed_genes`` against a gene-by-gene comparison: the
+    non-zero lanes of two packed keys' XOR at every key width, the empty
+    record, and vectors whose keys are not known."""
+
+    @staticmethod
+    def _scan(old, genes):
+        return [i for i, (a, b) in enumerate(zip(old, genes)) if a != b]
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_xor_lanes_match_a_gene_by_gene_scan(self, width):
+        fmt = {1: "B", 2: "H", 4: "I"}[width]
+        top = (1 << 8 * width) - 1
+        # Genes that differ in one byte of their lane only, low or high.
+        values = [v for v in (0, 1, 2, 255, 256, 257, 1 << 16, 1 << 24, top - 1, top) if v <= top]
+
+        def key(genes):
+            return int.from_bytes(struct.pack(f"<{len(genes)}{fmt}", *genes), "little")
+
+        rng = random.Random(59)
+        changed = 0
+        for n in (0, 1, 2, 3, 7, 64, 211):
+            for _ in range(40):
+                old = tuple(rng.choice(values) for _ in range(n))
+                genes = list(old)
+                # Mostly a few genes redrawn, sometimes all of them.
+                count = rng.randrange(min(n, 3) + 1) if rng.random() < 0.8 else n
+                for i in rng.sample(range(n), count):
+                    genes[i] = rng.choice(values)
+                genes = tuple(genes)
+                expected = self._scan(old, genes)
+                assert power._changed_genes(old, genes, key(old) ^ key(genes), width) == expected
+                assert power._changed_genes(old, genes, None, width) == expected
+                changed += len(expected)
+        assert changed > 1000
+
+    def test_empty_record_changes_every_gene(self, monkeypatch):
+        # The empty record has no key: a fresh evaluator's first pass
+        # compares every gene with host -1.
+        inst = _spanning_instance()
+        starts = _spy_on_starts(monkeypatch)
+        genes = (0, 1, 0, 1, 2, 2)
+        ev = EnergyEvaluator(inst)
+        ev.first_violation(genes)
+        assert starts == [(-1,) * 6]
+        assert power._changed_genes(starts[0], genes, None, 1) == list(range(6))
+        assert ev._rec == _own_record(inst, genes, False)
+
+    def test_passes_of_unpacked_vectors_compare_every_gene(self):
+        # A direct _compute of a vector that was never packed, as the exact
+        # oracle makes, has no key; the next packed pass from its record
+        # falls back to comparing every gene.
+        inst = _spanning_instance()
+        rng = random.Random(61)
+        ev = EnergyEvaluator(inst)
+        for _ in range(30):
+            genes = tuple(rng.randrange(3) for _ in inst.vms)
+            own = _own_record(inst, genes, False)
+            if rng.random() < 0.5:
+                assert ev._compute(genes) == _expected_violation(inst, genes)
+                assert ev._rec.key is None
+                assert ev._rec == dataclasses.replace(own, key=None)
+            else:
+                assert ev.first_violation(genes) == _expected_violation(inst, genes)
+                assert ev._rec == own
 
 
 class TestMemoKeys:

@@ -271,6 +271,23 @@ class TestGapa:
         gapa_schedule(inst, config)
         assert config.population_size < max(alive) <= 2 * config.population_size + 1
 
+    def test_each_child_names_both_parents(self, monkeypatch):
+        # The first pass of every child may start from either parent's record.
+        hints = []
+        nearer = EnergyEvaluator._nearer_parent
+
+        def spied(ev, key):
+            hints.append((ev.parent, ev.other_parent))
+            return nearer(ev, key)
+
+        monkeypatch.setattr(EnergyEvaluator, "_nearer_parent", spied)
+        inst = mixed_class_instance(7, 40, 10, 8)
+        config = GaConfig(population_size=6, generations=30, seed=3)
+        gapa_schedule(inst, config)
+        assert len(hints) >= config.generations
+        assert all(p is not None and q is not None for p, q in hints)
+        assert sum(p != q for p, q in hints) > len(hints) // 2
+
     @pytest.mark.parametrize("mode, passes", [("energy", 335), ("snapshot_power", 837)])
     def test_load_passes_on_the_worked_example(self, mode, passes, monkeypatch):
         # Recorded before repair and move_host built their vectors with
