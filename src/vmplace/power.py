@@ -193,18 +193,20 @@ def _changed_genes(
 
     ``diff`` is the XOR of the two vectors' memo keys read as ints, at
     ``width`` bytes per gene, or None when either key is unknown. The
-    changed genes are its non-zero lanes, found in C; without it every gene
-    is compared.
+    changed genes are its non-zero lanes, found in C between its lowest and
+    highest set bits; without it every gene is compared.
     """
-    n = len(genes)
     if diff is None:
-        return list(compress(range(n), map(ne, old, genes)))
+        return list(compress(range(len(genes)), map(ne, old, genes)))
     if not diff:
         return []
-    lanes = diff.to_bytes(n * width, "little")
+    bits = 8 * width
+    lo = ((diff & -diff).bit_length() - 1) // bits
+    hi = (diff.bit_length() - 1) // bits + 1
+    lanes = (diff >> lo * bits).to_bytes((hi - lo) * width, "little")
     if width > 1:
         lanes = memoryview(lanes).cast(_LANES[width])
-    return list(compress(range(n), lanes))
+    return list(compress(range(lo, hi), lanes))
 
 
 @dataclass(slots=True)
@@ -341,9 +343,8 @@ class EnergyEvaluator(_Tables):
     pass finds the genes that differ from the record it starts from as the
     non-zero lanes of the two keys' XOR, in C, rather than comparing gene by
     gene; only a pass from the empty record, or from or of a vector that was
-    never packed, compares every gene.
-    A search that builds a vector with :meth:`move` names the VMs it moved,
-    so the pass of that vector visits only them.
+    never packed, compares every gene. So a pass that follows a one-VM or
+    one-host edit visits only the VMs that moved.
     :meth:`first_violation`, :meth:`fits`, :meth:`host_vms`,
     :meth:`try_energy` and :meth:`snapshot_power` read the current record,
     making it first when asked about other genes. The instance tables and
@@ -373,8 +374,7 @@ class EnergyEvaluator(_Tables):
 
     __slots__ = (
         "idle", "idle_base", "evaluations", "_cache", "_rec", "_kept",
-        "_records", "parent", "other_parent", "_moved", "_width", "_pack", "_packed",
-        "_packed_key",
+        "_records", "parent", "other_parent", "_width", "_pack", "_packed", "_packed_key",
     )
 
     _CACHE_GENES = 15_000_000
@@ -407,8 +407,6 @@ class EnergyEvaluator(_Tables):
         #: search sets them to a child's two parents. Only a pass reads them.
         self.parent: Optional[Tuple[int, ...]] = None
         self.other_parent: Optional[Tuple[int, ...]] = None
-        # The last move(): (moved genes, genes it started from, VMs changed).
-        self._moved: Optional[Tuple[Tuple[int, ...], Sequence[int], List[int]]] = None
 
     def try_energy(self, genes: Sequence[int]) -> Optional[float]:
         """Total joules of the placement, or None if it violates capacity."""
@@ -432,7 +430,6 @@ class EnergyEvaluator(_Tables):
             key = self._pack(*genes)
         except struct.error:
             self.parent = self.other_parent = None
-            self._moved = None
             n, m = len(self.spans), self.host_count
             if len(genes) != n:
                 raise ValueError(f"{len(genes)} genes for {n} VMs") from None
@@ -487,21 +484,19 @@ class EnergyEvaluator(_Tables):
 
         The pass starts from the nearer kept record of :attr:`parent` and
         :attr:`other_parent` (:meth:`_nearer_parent`) if either is kept, else
-        from the current record. When ``genes`` is the vector the last
-        :meth:`move` returned and the pass starts from the record of the
-        vector that move started from, only the moved VMs are visited;
-        otherwise :func:`_changed_genes` finds the genes that differ, from
-        the memo keys when ``genes`` is the tuple :meth:`_key` packed last
-        and the record's key is known, else gene by gene. ``genes`` may also
-        be a tuple that was never packed, as the exact oracle passes; its
-        record then has no key. Only the cells whose VM set changes
-        are recounted, each from its VMs in ascending index order with
-        left-to-right addition, never by adding and subtracting the moved VMs:
-        the loads stay exactly those of a count from scratch, including at an
-        exact capacity fill. A recounted cell whose MIPS load changed gets its
-        term from :meth:`watts_at`, less the idle draw when idle hosts are
-        powered, or 0.0 when it empties. ``genes`` are one int per VM; one that is no
-        host index raises ValueError and leaves every record as it was.
+        from the current record. :func:`_changed_genes` finds the genes that
+        differ, from the memo keys when ``genes`` is the tuple :meth:`_key`
+        packed last and the record's key is known, else gene by gene.
+        ``genes`` may also be a tuple that was never packed, as the exact
+        oracle passes; its record then has no key. Only the cells whose VM
+        set changes are recounted, each from its VMs in ascending index
+        order with left-to-right addition, never by adding and subtracting
+        the moved VMs: the loads stay exactly those of a count from scratch,
+        including at an exact capacity fill. A recounted cell whose MIPS load
+        changed gets its term from :meth:`watts_at`, less the idle draw when
+        idle hosts are powered, or 0.0 when it empties. ``genes`` are one int
+        per VM; one that is no host index raises ValueError and leaves every
+        record as it was.
         """
         rec, kept = self._rec, self._kept
         key = int.from_bytes(self._packed_key, "little") if genes is self._packed else None
@@ -509,16 +504,10 @@ class EnergyEvaluator(_Tables):
             base = self._nearer_parent(key)
             if base is not None:
                 rec, kept = base, True
-        moved = self._moved
-        self._moved = None
-        old = rec.genes
-        if moved is not None and moved[0] is genes and moved[1] is old:
-            changed = moved[2]
-        else:
-            # The empty record places every VM on host -1.
-            old = old or (-1,) * len(genes)
-            diff = None if key is None or rec.key is None else key ^ rec.key
-            changed = _changed_genes(old, genes, diff, self._width)
+        # The empty record places every VM on host -1.
+        old = rec.genes or (-1,) * len(genes)
+        diff = None if key is None or rec.key is None else key ^ rec.key
+        changed = _changed_genes(old, genes, diff, self._width)
         m = self.host_count
         for i in changed:
             if not 0 <= genes[i] < m:
@@ -606,28 +595,6 @@ class EnergyEvaluator(_Tables):
         idle base plus the exactly rounded sum of its terms, so the cells'
         order does not matter and nothing is written."""
         return self.idle_base + math.fsum(self._rec.term)
-
-    def move(self, genes: Tuple[int, ...], vms: Iterable[int], host: int) -> Tuple[int, ...]:
-        """``genes`` with every VM in ``vms`` on ``host``, as a tuple.
-
-        Runs no load pass. The next pass, if it is of exactly the returned
-        tuple and starts from the record of ``genes``, visits only the VMs
-        that moved instead of comparing every gene; any other pass ignores
-        the hint. So a search that changes one gene or one host's VMs pays
-        for what it changed.
-        """
-        n = len(self.spans)
-        trial = list(genes)
-        changed = []
-        for i in vms:
-            if not 0 <= i < n:
-                raise IndexError(f"VM index {i!r} outside 0..{n - 1}")
-            if trial[i] != host:
-                trial[i] = host
-                changed.append(i)
-        moved = tuple(trial)
-        self._moved = (moved, genes, changed)
-        return moved
 
     def first_violation(self, genes) -> Optional[Tuple[int, int]]:
         """Earliest (segment_index, host_index) where capacity is exceeded."""

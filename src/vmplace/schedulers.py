@@ -156,13 +156,22 @@ def mutate(c: Genes, prob: float, host_count: int, rng: random.Random) -> Genes:
     return tuple(c) if genes is None else tuple(genes)
 
 
+def _moved_to(genes: Genes, vms: Sequence[int], host: int) -> Genes:
+    """``genes`` with every VM in ``vms`` (indices) on ``host``."""
+    trial = list(genes)
+    for i in vms:
+        trial[i] = host
+    return tuple(trial)
+
+
 def move_host(c: Genes, prob: float, ev: EnergyEvaluator, rng: random.Random) -> Genes:
     """Host-level mutation on the allocation tree.
 
     Each host node, with probability ``prob``, hands all of its VMs to one
     other host drawn uniformly. The move is made only if the target can hold
     every moved VM next to its own; otherwise nothing moves. Only the target's
-    load grows, so a feasible input gives a feasible output.
+    load grows, so a feasible input gives a feasible output. The next load
+    pass finds the moved VMs from the memo keys.
     """
     m = ev.host_count
     if prob <= 0.0 or m < 2:
@@ -177,7 +186,7 @@ def move_host(c: Genes, prob: float, ev: EnergyEvaluator, rng: random.Random) ->
             target += 1
         moved = ev.host_vms(h, genes)
         if moved and ev.fits(moved, target, genes):
-            genes = ev.move(genes, moved, target)
+            genes = _moved_to(genes, moved, target)
     return genes
 
 
@@ -195,7 +204,8 @@ def repair(c: Sequence[int], ev: EnergyEvaluator, rng: random.Random) -> Genes:
     After a stall threshold the victim is therefore drawn uniformly from the
     violation's contributors, which makes the walk ergodic over assignments.
     Raises UnrepairableError once the move budget is spent, which in practice
-    only happens when demand genuinely exceeds fleet capacity.
+    only happens when demand genuinely exceeds fleet capacity. Each move
+    changes one gene, and the next load pass finds it from the memo keys.
     """
     genes = tuple(c)
     viol = ev.first_violation(genes)
@@ -214,13 +224,13 @@ def repair(c: Sequence[int], ev: EnergyEvaluator, rng: random.Random) -> Genes:
         placed = False
         for h2 in range(m):
             if h2 != host and ev.fits((vm,), h2, genes):
-                candidate = ev.move(genes, (vm,), h2)
+                candidate = _moved_to(genes, (vm,), h2)
                 if candidate not in seen:
                     genes = candidate
                     placed = True
                     break
         if not placed:
-            genes = ev.move(genes, (vm,), rng.randrange(m))
+            genes = _moved_to(genes, (vm,), rng.randrange(m))
         seen.add(genes)
         moves += 1
         if moves > limit:
@@ -347,7 +357,9 @@ def gapa_schedule(
     differs from the child's in fewer bits. So the pass visits the genes the
     child took from the other parent, mostly the shorter side of the cut,
     and its mutated genes, not the genes in which it differs from the child
-    built before it.
+    built before it. Repair and the host move change one VM, or one host's
+    VMs, per step, and the pass after a step finds those genes from the
+    memo keys rather than by comparing every gene.
     After each generation the records of individuals that left the
     population are dropped, so at most two populations' records are alive.
 

@@ -32,6 +32,7 @@ from vmplace import (
 from vmplace import power
 from vmplace.model import MIPS_EPS
 from vmplace.power import ordered_sum
+from vmplace.schedulers import _moved_to, move_host
 
 from conftest import dell_host, ibm_host, mixed_class_instance, random_small_instance
 
@@ -384,8 +385,7 @@ class TestMovingRecord:
 
 def _spy_on_starts(monkeypatch):
     """The genes of the record that each load pass from now on starts from,
-    in pass order, all -1 for the empty record. The pass of a moved vector
-    visits the moved VMs and is not listed."""
+    in pass order, all -1 for the empty record."""
     starts = []
     finder = power._changed_genes
     monkeypatch.setattr(power, "_changed_genes", lambda old, *args: starts.append(old) or finder(old, *args))
@@ -619,6 +619,27 @@ class TestChangedGenes:
                 changed += len(expected)
         assert changed > 1000
 
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_changes_in_the_end_lanes_are_found(self, width):
+        # Only the lanes between the XOR's lowest and highest set bits are
+        # read, so a change in lane 0 or lane n-1, in its low byte or only
+        # in its high byte, in the lowest or the highest bit of either, must
+        # still be found.
+        fmt = {1: "B", 2: "H", 4: "I"}[width]
+        high = 1 << 8 * (width - 1)
+        flips = (1, 0x80, high, high << 7, high | 1)
+
+        def key(genes):
+            return int.from_bytes(struct.pack(f"<{len(genes)}{fmt}", *genes), "little")
+
+        for n in (1, 2, 3, 211):
+            for background in (0, high | 1):
+                old = (background,) * n
+                for lanes in ([0], [n - 1], sorted({0, n - 1}), sorted({0, n // 2, n - 1})):
+                    for flip in flips:
+                        genes = tuple(g ^ flip if i in lanes else g for i, g in enumerate(old))
+                        assert power._changed_genes(old, genes, key(old) ^ key(genes), width) == lanes
+
     def test_empty_record_changes_every_gene(self, monkeypatch):
         # The empty record has no key: a fresh evaluator's first pass
         # compares every gene with host -1.
@@ -711,9 +732,27 @@ class TestMemoKeys:
         self._assert_keys(ev, inst, 1)
 
 
+def _spy_on_passes(monkeypatch):
+    """(start genes, genes, key XOR or None, changed genes) of each load pass
+    from now on, in pass order."""
+    passes = []
+    finder = power._changed_genes
+
+    def spied(old, genes, diff, width):
+        changed = finder(old, genes, diff, width)
+        passes.append((old, genes, diff, changed))
+        return changed
+
+    monkeypatch.setattr(power, "_changed_genes", spied)
+    return passes
+
+
 class TestMoves:
-    """Vectors made by ``EnergyEvaluator.move``, whose passes visit only the
-    moved VMs, against fresh evaluators and the reference path."""
+    """Vectors built the way ``repair`` and ``move_host`` build them, with
+    ``schedulers._moved_to``: one VM or one host's VMs moved, in a tuple the
+    evaluator is not told about. Each pass finds the moved VMs from the memo
+    keys; its answers, record and joules are checked against fresh
+    evaluators and the reference path."""
 
     def _score(self, ev, genes, mode):
         if mode == "energy":
@@ -721,35 +760,39 @@ class TestMoves:
         return ev.snapshot_power(genes) if ev.try_energy(genes) is not None else None
 
     def _next(self, ev, rng, genes, pool, m):
-        """The next vector of a walk: mostly moves, chained or not, sometimes
+        """The next vector of a walk: mostly edits, chained or not, sometimes
         another vector, with or without a parent hint."""
         n = len(genes)
         kind = rng.randrange(6)
         if kind == 0:
-            return ev.move(genes, (rng.randrange(n),), rng.randrange(m))
+            return _moved_to(genes, (rng.randrange(n),), rng.randrange(m))
         if kind == 1:
             src, dst = rng.sample(range(m), 2)
-            return ev.move(genes, ev.host_vms(src, genes), dst)
+            return _moved_to(genes, ev.host_vms(src, genes), dst)
         if kind == 2:
             # Repeats and VMs already on the target move nothing.
             vms = [rng.randrange(n) for _ in range(rng.randrange(4))]
-            return ev.move(genes, vms, rng.randrange(m))
+            return _moved_to(genes, vms, rng.randrange(m))
         if kind == 3:
-            # Two moves before any pass: the second starts from a vector
+            # Two edits before any pass: the second starts from a vector
             # whose record was never made.
-            first = ev.move(genes, (rng.randrange(n),), rng.randrange(m))
-            return ev.move(first, (rng.randrange(n),), rng.randrange(m))
+            first = _moved_to(genes, (rng.randrange(n),), rng.randrange(m))
+            return _moved_to(first, (rng.randrange(n),), rng.randrange(m))
         if kind == 4:
             ev.parent = rng.choice(pool)
-            return ev.move(ev.parent, (rng.randrange(n),), rng.randrange(m))
-        ev.move(genes, (rng.randrange(n),), rng.randrange(m))  # a move not taken
+            return _moved_to(ev.parent, (rng.randrange(n),), rng.randrange(m))
+        # An edit checked with fits() and not taken, as repair skips one.
+        vm, host = rng.randrange(n), rng.randrange(m)
+        ev.fits((vm,), host, genes)
+        _moved_to(genes, (vm,), host)
         return rng.choice(pool)
 
-    def test_chained_moves_match_fresh_evaluators_and_the_reference(self):
+    def test_chained_moves_match_fresh_evaluators_and_the_reference(self, monkeypatch):
         rng = random.Random(41)
         instances = [_exact_fill_instance(), _spanning_instance()]
         instances += [_fractional_instance(seed) for seed in range(4)]
         instances += [mixed_class_instance(seed, 8, 5, 3) for seed in range(3)]
+        passes = _spy_on_passes(monkeypatch)
         feasible = steps = 0
         for inst in instances:
             m = len(inst.hosts)
@@ -760,11 +803,18 @@ class TestMoves:
                     for genes in pool:
                         self._score(ev, genes, mode)
                     genes = pool[0]
+                    del passes[:]
                     for _ in range(40):
                         genes = self._next(ev, rng, genes, pool, m)
                         expected = _expected_violation(inst, genes)
-                        got = self._score(ev, genes, mode)
-                        assert got == self._score(EnergyEvaluator(inst, idle), genes, mode)
+                        got = self._score(EnergyEvaluator(inst, idle), genes, mode)
+                        walked = len(passes)
+                        assert self._score(ev, genes, mode) == got
+                        # Every pass of the walk is of a packed vector from a
+                        # packed record: it reads the key XOR, never scans.
+                        for old, new, diff, changed in passes[walked:]:
+                            assert diff is not None
+                            assert changed == [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
                         assert ev.first_violation(genes) == expected
                         # A vector the memo holds needs no pass; host_vms reads
                         # the record, so it makes the record of ``genes``.
@@ -780,6 +830,8 @@ class TestMoves:
                             assert got is None
                         steps += 1
                         pool.append(genes)
+                    for kept, rec in ev._records.items():
+                        assert rec == _own_record(inst, kept, idle)
         assert feasible > steps // 4 and feasible < steps
 
     @pytest.mark.parametrize("src, dst", [(0, 2), (2, 0), (1, 2), (2, 1)])
@@ -793,51 +845,62 @@ class TestMoves:
             for idle in (False, True):
                 ev = EnergyEvaluator(inst, idle)
                 ev.try_energy(genes)
-                moved = ev.move(genes, (0,), dst)
+                moved = _moved_to(genes, (0,), dst)
                 energy = ev.try_energy(moved)
                 assert energy == EnergyEvaluator(inst, idle).try_energy(moved)
                 if _expected_violation(inst, moved) is None:
                     assert energy == _exact_sum_energy(inst, moved, idle)
                 assert ev._rec == _own_record(inst, moved, idle)
-                back = ev.move(moved, (0,), src)
+                back = _moved_to(moved, (0,), src)
                 assert back == genes
                 assert ev.snapshot_power(back) == EnergyEvaluator(inst, idle).snapshot_power(back)
                 assert ev._rec == _own_record(inst, genes, idle)
 
-    def test_move_runs_no_pass(self, monkeypatch):
-        inst = _spanning_instance()
+    def test_pass_after_a_repair_move_finds_the_moved_vm_from_the_keys(self, monkeypatch):
+        # All nine VMs on host 0 overflow it; repair moves the highest one,
+        # VM 8, to host 1, and the pass of that vector is told only by the
+        # two memo keys that VM 8 is what changed.
+        inst = _exact_fill_instance()
         ev = EnergyEvaluator(inst)
-        genes = (0, 1, 0, 1, 2, 2)
-        known = (0, 1, 0, 1, 2, 0)
-        energy = ev.try_energy(known)
-        assert energy is not None
-        ev.try_energy(genes)
-        passes = []
-        kernel = EnergyEvaluator._compute
-        monkeypatch.setattr(EnergyEvaluator, "_compute", lambda self, g: passes.append(g) or kernel(self, g))
-        moved = ev.move(genes, (5,), 0)
-        assert moved == known and passes == []
-        # The memo already holds the moved vector: no pass scores it.
-        assert ev.try_energy(moved) == energy
-        assert ev.first_violation(moved) is None
-        assert passes == []
-        again = ev.move(genes, ev.host_vms(2, genes), 1)
-        assert passes == [] and again == (0, 1, 0, 1, 1, 1)
-        ev.first_violation(again)
-        assert passes == [again]
+        passes = _spy_on_passes(monkeypatch)
+        fixed = repair((0,) * 9, ev, random.Random(1))
+        assert fixed == (0,) * 8 + (1,)
+        (_, _, first, _), (old, genes, diff, changed) = passes
+        assert first is None  # the first pass is from the empty record
+        assert (old, genes) == ((0,) * 9, fixed)
+        assert diff is not None and changed == [8]
+        assert ev._rec == _own_record(inst, fixed, False)
 
-    def test_move_rejects_a_vm_index_and_a_pass_rejects_the_host(self):
+    def test_host_move_passes_find_the_moved_vms_from_the_keys(self, monkeypatch):
+        rng = random.Random(67)
+        passes = _spy_on_passes(monkeypatch)
+        moves = 0
+        for seed in range(6):
+            inst = mixed_class_instance(seed, 10, 5, 3)
+            n, m = len(inst.vms), len(inst.hosts)
+            ev = EnergyEvaluator(inst)
+            genes = repair(tuple(rng.randrange(m) for _ in range(n)), ev, rng)
+            for _ in range(20):
+                del passes[:]
+                genes = move_host(genes, 0.3, ev, rng)
+                assert ev.first_violation(genes) is None
+                for old, new, diff, changed in passes:
+                    assert diff is not None
+                    assert changed == [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
+                    # Every VM a host move changes lands on one host.
+                    assert len({new[i] for i in changed}) == 1
+                    moves += 1
+                assert ev._rec == _own_record(inst, genes, False)
+        assert moves > 20
+
+    def test_a_pass_rejects_a_moved_host_outside_the_fleet(self):
         inst = _spanning_instance()
         ev = EnergyEvaluator(inst)
         genes = (0, 1, 0, 1, 2, 2)
         ev.try_energy(genes)
-        with pytest.raises(IndexError):
-            ev.move(genes, (6,), 0)
-        with pytest.raises(IndexError):
-            ev.move(genes, (-1,), 0)
         for host in (-1, 3):
             with pytest.raises(ValueError):
-                ev.first_violation(ev.move(genes, (1,), host))
+                ev.first_violation(_moved_to(genes, (1,), host))
             assert ev._rec == _own_record(inst, genes, False)
 
 

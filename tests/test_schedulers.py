@@ -290,8 +290,8 @@ class TestGapa:
 
     @pytest.mark.parametrize("mode, passes", [("energy", 335), ("snapshot_power", 837)])
     def test_load_passes_on_the_worked_example(self, mode, passes, monkeypatch):
-        # Recorded before repair and move_host built their vectors with
-        # EnergyEvaluator.move: a move must not add a pass of its own.
+        # Recorded before repair and move_host built their edited vectors
+        # without telling the evaluator: building a vector adds no pass.
         counted = []
         kernel = EnergyEvaluator._compute
         monkeypatch.setattr(
