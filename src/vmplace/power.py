@@ -20,7 +20,7 @@ import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
-from operator import ne, truediv
+from operator import truediv
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import InfeasiblePlacementError
@@ -186,18 +186,45 @@ _MISS = object()
 _LANES = {1: "B", 2: "H", 4: "I"}
 
 
-def _changed_genes(
-    old: Sequence[int], genes: Sequence[int], diff: Optional[int], width: int
-) -> List[int]:
-    """Ascending indices of the genes in which ``genes`` differ from ``old``.
+@dataclass(slots=True)
+class _Record:
+    """The load record of one gene vector, as :class:`EnergyEvaluator` keeps it.
 
-    ``diff`` is the XOR of the two vectors' memo keys read as ints, at
-    ``width`` bytes per gene, or None when either key is unknown. The
-    changed genes are its non-zero lanes, found in C between its lowest and
-    highest set bits; without it every gene is compared.
+    Cell k is (segment k // host_count, host k % host_count). ``vms_at[k]``
+    is the tuple of the cell's VMs, replaced when they change, so copies of
+    a record share the cells they have in common; a cell's PE load is
+    counted from them. ``mips_load`` is each cell's MIPS load and ``bad``
+    the cells over capacity. ``term[k]`` is cell k's joules at its load,
+    0.0 when it is empty; the pass that changes a cell's MIPS load sets its
+    term, so a record is complete when its pass ends. ``key`` is the memo
+    key of ``genes`` read as a little-endian int; it takes part in equality
+    like every other field. The empty record's ``genes`` and ``key`` are
+    None.
     """
-    if diff is None:
-        return list(compress(range(len(genes)), map(ne, old, genes)))
+
+    genes: Optional[Tuple[int, ...]]
+    key: Optional[int]
+    vms_at: List[Tuple[int, ...]]
+    mips_load: List[float]
+    bad: Set[int]
+    term: List[float]
+
+    def copy(self) -> _Record:
+        """A record equal to this one that shares no mutable container with it."""
+        return _Record(self.genes, self.key, self.vms_at[:], self.mips_load[:], set(self.bad), self.term[:])
+
+
+def _changed_genes(rec: _Record, genes: Tuple[int, ...], key: int, width: int) -> Sequence[int]:
+    """Ascending indices of the genes in which ``genes``, packed as ``key`` at
+    ``width`` bytes per gene and read as an int, differ from record ``rec``'s.
+
+    They are the non-zero lanes of the XOR of ``key`` and ``rec.key``, found
+    in C between its lowest and highest set bits; the empty record places no
+    VM, so from it every gene moves.
+    """
+    if rec.key is None:
+        return range(len(genes))
+    diff = key ^ rec.key
     if not diff:
         return []
     bits = 8 * width
@@ -207,41 +234,6 @@ def _changed_genes(
     if width > 1:
         lanes = memoryview(lanes).cast(_LANES[width])
     return list(compress(range(lo, hi), lanes))
-
-
-@dataclass(slots=True)
-class _Record:
-    """The load record of one gene vector, as :class:`EnergyEvaluator` keeps it.
-
-    Cell k is (segment k // host_count, host k % host_count). ``vms_at[k]``
-    is the tuple of the cell's VMs, replaced when they change, so copies of
-    a record share the cells they have in common. ``pe_load`` and
-    ``mips_load`` are each cell's load, ``bad`` the cells over capacity and
-    ``violation`` the earliest of them as (segment, host), None if there is
-    none. ``term[k]`` is cell k's joules at its load, 0.0 when it is empty;
-    the pass that changes a cell's MIPS load sets its term, so a record is
-    complete when its pass ends. ``key`` is the memo key of ``genes`` read
-    as a little-endian int, or None when the pass that made the record was
-    of a vector not packed (an unpacked :meth:`EnergyEvaluator._compute`
-    call); it takes part in equality like every other field. The empty
-    record's ``genes`` and ``key`` are None.
-    """
-
-    genes: Optional[Tuple[int, ...]]
-    key: Optional[int]
-    violation: Optional[Tuple[int, int]]
-    vms_at: List[Tuple[int, ...]]
-    pe_load: List[int]
-    mips_load: List[float]
-    bad: Set[int]
-    term: List[float]
-
-    def copy(self) -> _Record:
-        """A record equal to this one that shares no mutable container with it."""
-        return _Record(
-            self.genes, self.key, self.violation, self.vms_at[:], self.pe_load[:], self.mips_load[:],
-            set(self.bad), self.term[:],
-        )
 
 
 class _Tables:
@@ -325,7 +317,7 @@ class EnergyEvaluator(_Tables):
     search alone.
 
     A load record (:class:`_Record`) holds, for one gene vector, each (host,
-    segment) cell's VMs in ascending index order, its PE and MIPS load, the
+    segment) cell's VMs in ascending index order, its MIPS load, the
     violating cells and an energy term per cell. The energy is the idle base
     plus the exactly rounded :func:`math.fsum` of the terms, whatever order
     the cells are visited in. :meth:`_compute` makes the record of the
@@ -342,9 +334,8 @@ class EnergyEvaluator(_Tables):
     current record. Each record keeps its vector's memo key as an int, so a
     pass finds the genes that differ from the record it starts from as the
     non-zero lanes of the two keys' XOR, in C, rather than comparing gene by
-    gene; only a pass from the empty record, or from or of a vector that was
-    never packed, compares every gene. So a pass that follows a one-VM or
-    one-host edit visits only the VMs that moved.
+    gene; a pass from the empty record moves every gene. So a pass that
+    follows a one-VM or one-host edit visits only the VMs that moved.
     :meth:`first_violation`, :meth:`fits`, :meth:`host_vms`,
     :meth:`try_energy` and :meth:`snapshot_power` read the current record,
     making it first when asked about other genes. The instance tables and
@@ -399,7 +390,7 @@ class EnergyEvaluator(_Tables):
         cells = m * self.nseg
         # The current record, at first the empty one. While _kept is set it is
         # also a kept one, which the next pass copies before changing it.
-        self._rec = _Record(None, None, None, [()] * cells, [0] * cells, [0.0] * cells, set(), [0.0] * cells)
+        self._rec = _Record(None, None, [()] * cells, [0.0] * cells, set(), [0.0] * cells)
         self._kept = False
         # Kept records by genes.
         self._records: Dict[Tuple[int, ...], _Record] = {}
@@ -468,50 +459,47 @@ class EnergyEvaluator(_Tables):
                 records[genes] = rec
 
     def _violation(self, genes) -> Optional[Tuple[int, int]]:
-        """Earliest violation of ``genes``; afterwards the record holds their
-        loads. Genes other than the record's are checked by :meth:`_key` first."""
+        """Earliest (segment_index, host_index) whose capacity ``genes``
+        exceed, None if there is none; afterwards the record is theirs.
+        Genes other than the record's are checked by :meth:`_key` first."""
         key = genes if type(genes) is tuple else tuple(genes)
-        rec = self._rec
-        if key is rec.genes or key == rec.genes:
-            return rec.violation
-        if key is not self._packed:
-            self._key(key)
-        return self._compute(key)
+        if not (key is self._rec.genes or key == self._rec.genes):
+            if key is not self._packed:
+                self._key(key)
+            self._compute(key)
+        bad = self._rec.bad
+        return divmod(min(bad), self.host_count) if bad else None
 
-    def _compute(self, genes: Tuple[int, ...]) -> Optional[Tuple[int, int]]:
-        """Make the record of ``genes`` current and return the earliest
-        (segment_index, host_index) whose capacity is exceeded.
+    def _compute(self, genes: Tuple[int, ...]) -> None:
+        """Make the record of ``genes``, the tuple :meth:`_key` packed last,
+        current.
 
         The pass starts from the nearer kept record of :attr:`parent` and
         :attr:`other_parent` (:meth:`_nearer_parent`) if either is kept, else
         from the current record. :func:`_changed_genes` finds the genes that
-        differ, from the memo keys when ``genes`` is the tuple :meth:`_key`
-        packed last and the record's key is known, else gene by gene.
-        ``genes`` may also be a tuple that was never packed, as the exact
-        oracle passes; its record then has no key. Only the cells whose VM
-        set changes are recounted, each from its VMs in ascending index
-        order with left-to-right addition, never by adding and subtracting
-        the moved VMs: the loads stay exactly those of a count from scratch,
-        including at an exact capacity fill. A recounted cell whose MIPS load
-        changed gets its term from :meth:`watts_at`, less the idle draw when
-        idle hosts are powered, or 0.0 when it empties. ``genes`` are one int
-        per VM; one that is no host index raises ValueError and leaves every
+        differ from the memo keys. Only the cells whose VM set changes are
+        recounted, each from its VMs in ascending index order with
+        left-to-right addition, never by adding and subtracting the moved
+        VMs: the loads stay exactly those of a count from scratch, including
+        at an exact capacity fill. A recounted cell whose MIPS load changed
+        gets its term from :meth:`watts_at`, less the idle draw when idle
+        hosts are powered, or 0.0 when it empties. ``genes`` are one int per
+        VM; one that is no host index raises ValueError and leaves every
         record as it was.
         """
         rec, kept = self._rec, self._kept
-        key = int.from_bytes(self._packed_key, "little") if genes is self._packed else None
+        key = int.from_bytes(self._packed_key, "little")
         if self.parent is not None or self.other_parent is not None:
             base = self._nearer_parent(key)
             if base is not None:
                 rec, kept = base, True
-        # The empty record places every VM on host -1.
-        old = rec.genes or (-1,) * len(genes)
-        diff = None if key is None or rec.key is None else key ^ rec.key
-        changed = _changed_genes(old, genes, diff, self._width)
+        changed = _changed_genes(rec, genes, key, self._width)
         m = self.host_count
         for i in changed:
             if not 0 <= genes[i] < m:
                 raise ValueError(f"gene {i}: host index {genes[i]!r} outside 0..{m - 1}")
+        # The empty record places every VM on host -1.
+        old = rec.genes or (-1,) * len(genes)
         if kept:
             # Copy on write: a kept record is never changed.
             rec = rec.copy()
@@ -540,7 +528,6 @@ class EnergyEvaluator(_Tables):
         eff = self.eff
         host_pe = self.host_pe
         mips_cap = self.mips_cap
-        pe_l = rec.pe_load
         mips_l = rec.mips_load
         bad = rec.bad
         term = rec.term
@@ -556,7 +543,6 @@ class EnergyEvaluator(_Tables):
             for v in vms:
                 p += pe[v]
                 x += eff[v][h]
-            pe_l[k] = p
             if x != mips_l[k]:
                 mips_l[k] = x
                 if vms:
@@ -572,21 +558,18 @@ class EnergyEvaluator(_Tables):
                 bad.discard(k)
         rec.genes = genes
         rec.key = key
-        rec.violation = divmod(min(bad), m) if bad else None
-        return rec.violation
 
-    def _nearer_parent(self, key: Optional[int]) -> Optional[_Record]:
+    def _nearer_parent(self, key: int) -> Optional[_Record]:
         """Clear both parent hints and return the kept record of the hinted
         parent whose memo key differs from ``key`` in fewer bits, that of
-        :attr:`parent` on a tie or when a key is unknown; None when neither
-        is kept."""
+        :attr:`parent` on a tie; None when neither is kept."""
         records = self._records
         first = records.get(self.parent)
         second = records.get(self.other_parent)
         self.parent = self.other_parent = None
         if first is None:
             return second
-        if second is None or None in (key, first.key, second.key):
+        if second is None:
             return first
         return second if (key ^ second.key).bit_count() < (key ^ first.key).bit_count() else first
 
@@ -606,10 +589,15 @@ class EnergyEvaluator(_Tables):
     def host_vms(self, host_idx: int, genes, seg: Optional[int] = None) -> List[int]:
         """Ascending indices of the VMs that ``genes`` place on ``host_idx``,
         read from the record; only those active in segment ``seg`` when it is
-        given."""
+        given. A host or segment index out of range raises ValueError before
+        the record moves."""
+        m = self.host_count
+        if not 0 <= host_idx < m:
+            raise ValueError(f"host index {host_idx!r} outside 0..{m - 1}")
+        if seg is not None and not 0 <= seg < self.nseg:
+            raise ValueError(f"segment index {seg!r} outside 0..{self.nseg - 1}")
         self._violation(genes)  # the record now holds the loads of ``genes``
         vms_at = self._rec.vms_at
-        m = self.host_count
         if seg is not None:
             return list(vms_at[seg * m + host_idx])
         return sorted(set().union(*vms_at[host_idx::m]))
@@ -619,16 +607,24 @@ class EnergyEvaluator(_Tables):
         ``host_idx`` keep that host feasible, given every other VM's current
         gene?
 
-        Only the segments the moved VMs span are checked.
+        Only the segments the moved VMs span are checked. A host or VM index
+        out of range raises ValueError before the record moves.
         """
+        if not 0 <= host_idx < self.host_count:
+            raise ValueError(f"host index {host_idx!r} outside 0..{self.host_count - 1}")
+        n = len(self.spans)
+        for i in vms:
+            if not 0 <= i < n:
+                raise ValueError(f"VM index {i!r} outside 0..{n - 1}")
         self._violation(genes)  # the record now holds the loads of ``genes``
+        pe = self.pe
         extra_pe: Dict[int, int] = {}
         extra_mips: Dict[int, float] = {}
         for i in vms:
             if genes[i] == host_idx:
                 p, e = 0, 0.0
             else:
-                p, e = self.pe[i], self.eff[i][host_idx]
+                p, e = pe[i], self.eff[i][host_idx]
             for off in self.cell_runs[i]:
                 k = off + host_idx
                 extra_pe[k] = extra_pe.get(k, 0) + p
@@ -636,10 +632,11 @@ class EnergyEvaluator(_Tables):
         pe_cap = self.host_pe[host_idx]
         mips_cap = self.mips_cap[host_idx]
         rec = self._rec
-        pe_l = rec.pe_load
+        vms_at = rec.vms_at
         mips_l = rec.mips_load
+        pe_of = pe.__getitem__
         for k, p in extra_pe.items():
-            if pe_l[k] + p > pe_cap or mips_l[k] + extra_mips[k] > mips_cap:
+            if mips_l[k] + extra_mips[k] > mips_cap or sum(map(pe_of, vms_at[k])) + p > pe_cap:
                 return False
         return True
 

@@ -77,11 +77,14 @@ def to_allocation_tree(genes: Sequence[int], host_count: int) -> Tuple[Tuple[int
 
 
 def from_allocation_tree(tree: Sequence[Sequence[int]]) -> Genes:
-    """Inverse of :func:`to_allocation_tree`."""
+    """Inverse of :func:`to_allocation_tree`. A tree whose hosts do not list
+    each of the VMs 0..n-1 exactly once raises ValueError."""
     n = sum(len(c) for c in tree)
-    genes = [0] * n
+    genes: List[Optional[int]] = [None] * n
     for h, child in enumerate(tree):
         for i in child:
+            if not 0 <= i < n or genes[i] is not None:
+                raise ValueError(f"allocation tree: VM {i!r} is not one of 0..{n - 1} listed once")
             genes[i] = h
     return tuple(genes)
 
@@ -439,8 +442,7 @@ def exact_schedule(
 
     Enumerates all host^vm assignments in lexicographic order and keeps the
     first minimum-energy feasible one, i.e. ties resolve to the smallest gene
-    vector. Enumerated genes are host indices, one per VM, so each vector is
-    scored by one load pass (``_compute``) with no memo and no key check.
+    vector. Each vector is scored by one checked load pass, with no memo.
     """
     if not instance.vms:
         raise ValueError("exact_schedule: empty instance")
@@ -455,7 +457,7 @@ def exact_schedule(
     best_energy = None
     best_genes: Optional[Genes] = None
     for genes in itertools.product(range(m), repeat=n):
-        energy = None if ev._compute(genes) else ev._energy()
+        energy = None if ev._violation(genes) else ev._energy()
         if energy is not None and (best_energy is None or energy < best_energy):
             best_energy = energy
             best_genes = genes

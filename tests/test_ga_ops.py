@@ -47,6 +47,19 @@ class TestEncodings:
             genes = tuple(rng.randrange(m) for _ in range(n))
             assert from_allocation_tree(to_allocation_tree(genes, m)) == genes
 
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            ((1,), (1,)),  # VM 1 twice, VM 0 on no host
+            ((-1,), (0,)),
+            ((0, 2), ()),
+            ((0,), (0, 1)),
+        ],
+    )
+    def test_tree_that_is_no_partition_is_refused(self, tree):
+        with pytest.raises(ValueError):
+            from_allocation_tree(tree)
+
     def test_placement_round_trip(self):
         inst = ProblemInstance(
             (VmRequest("a", 1, 100.0, 0, 10), VmRequest("b", 1, 100.0, 0, 10)),

@@ -8,7 +8,6 @@ last pass. Seeded walks move one evaluator's record step by step and compare
 every answer with ``==`` against an evaluator built fresh for each step.
 """
 
-import dataclasses
 import itertools
 import math
 import random
@@ -157,6 +156,58 @@ class TestAgainstReference:
         # The overflow is in [50, 100), the second segment, on host 0.
         assert ev.first_violation((0,) * 9) == (1, 0)
 
+    @pytest.mark.parametrize("idle", [False, True])
+    def test_fits_at_exact_pe_and_mips_fills(self, idle):
+        # From a feasible vector, a move only adds load to its target host,
+        # so it fits exactly when the moved vector is feasible.
+        inst = _mixed_fill_instance()
+        n, m = len(inst.vms), len(inst.hosts)
+        ev = EnergyEvaluator(inst, idle)
+        rng = random.Random(71)
+        feasible = [
+            g for g in itertools.product(range(m), repeat=n) if _expected_violation(inst, g) is None
+        ]
+        outcomes = set()
+        for genes in feasible:
+            ev.try_energy(genes)
+            moves = [(i,) for i in range(n)] + [ev.host_vms(h, genes) for h in range(m)]
+            moves += [tuple(rng.sample(range(n), 3)) for _ in range(4)]
+            for vms in moves:
+                for h in range(m):
+                    fit = ev.fits(vms, h, genes)
+                    assert fit == (_expected_violation(inst, _moved_to(genes, vms, h)) is None), (genes, vms, h)
+                    outcomes.add(fit)
+        assert outcomes == {False, True}
+        # Exactly full fits; one PE or one MIPS more does not.
+        full, spare = (0, 0, 0, 2, 1, 1, 2, 1), (0, 2, 0, 2, 1, 1, 1, 1)
+        assert ev.fits((6,), 1, full)  # Dell MIPS
+        assert ev.fits((1, 2), 1, full)  # Dell PEs
+        assert not ev.fits((1, 2, 3), 1, full)
+        assert not ev.fits((3,), 1, spare)  # PEs over, MIPS under
+        assert ev.fits((1,), 0, spare)  # IBM PEs and MIPS
+        assert not ev.fits((6,), 2, spare)  # IBM MIPS, one over
+
+    def test_host_segment_and_vm_indices_out_of_range_raise(self):
+        # Negative or too large indices must not wrap round to another host,
+        # cell or VM; the record stays that of the last vector scored.
+        inst = _spanning_instance()
+        n, m, nseg = len(inst.vms), len(inst.hosts), len(inst.segments)
+        ev = EnergyEvaluator(inst)
+        genes = (0, 1, 0, 1, 2, 2)
+        other = (2,) * n
+        ev.try_energy(genes)
+        calls = [lambda h=h: ev.host_vms(h, other) for h in (-1, m)]
+        calls += [lambda s=s: ev.host_vms(0, other, s) for s in (-1, nseg)]
+        calls += [lambda: ev.host_vms(m, other, 0)]
+        calls += [lambda h=h: ev.fits((0,), h, other) for h in (-1, m)]
+        calls += [lambda vms=vms: ev.fits(vms, 0, other) for vms in ((-1,), (n,), (0, n), (1, -1))]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+            assert ev._rec == _own_record(inst, genes, False)
+        last = inst.segments[-1][0]
+        assert ev.host_vms(m - 1, other, nseg - 1) == [i for i, v in enumerate(inst.vms) if v.active_at(last)]
+
     def test_fractional_sums_within_epsilon_fit(self):
         # 0.1 + 0.2 exceeds 0.3 by float rounding; MIPS_EPS absorbs it.
         vms = (VmRequest("a", 1, 0.1, 0, 10), VmRequest("b", 1, 0.2, 0, 10))
@@ -165,6 +216,21 @@ class TestAgainstReference:
         assert ev.first_violation((0, 0)) is None
         assert ev.fits((1,), 0, (0, 0))
         _check_all(ev, inst, (0, 0))
+
+
+def _mixed_fill_instance():
+    """VMs of 1 to 8 PEs with integer MIPS, so every sum is exact. On an IBM
+    host (4 PEs, 11,732 MIPS) VMs 0-2 fill the PEs and the MIPS, and VMs 1
+    and 6 are one MIPS over. On the Dell host (16 PEs, 35,200 MIPS) VMs 4-6
+    fill the MIPS with 7 PEs in segment 0, and VMs 1, 2, 4, 5 and 7 the PEs
+    in segment 1. VM 3 runs in segment 1 only, VM 6 in segment 0 and VM 7 in
+    segment 1."""
+    shapes = [(2, 2933.0), (1, 2933.0), (1, 2933.0), (3, 1000.0), (4, 4400.0), (2, 4400.0), (1, 8800.0), (8, 100.0)]
+    runs = {3: (50, 50), 6: (0, 50), 7: (50, 50)}
+    vms = tuple(
+        VmRequest(f"m{i}", pe, mips, *runs.get(i, (0, 100))) for i, (pe, mips) in enumerate(shapes)
+    )
+    return ProblemInstance(vms, (ibm_host(0), dell_host(1), ibm_host(2)))
 
 
 class TestLastPassRecord:
@@ -388,7 +454,12 @@ def _spy_on_starts(monkeypatch):
     in pass order, all -1 for the empty record."""
     starts = []
     finder = power._changed_genes
-    monkeypatch.setattr(power, "_changed_genes", lambda old, *args: starts.append(old) or finder(old, *args))
+
+    def spied(rec, genes, *args):
+        starts.append(rec.genes or (-1,) * len(genes))
+        return finder(rec, genes, *args)
+
+    monkeypatch.setattr(power, "_changed_genes", spied)
     return starts
 
 
@@ -583,10 +654,16 @@ class TestKeptRecords:
             assert len(ev._records) <= ev._RECORD_LIMIT
 
 
+def _record_of(genes, key):
+    """A record of ``genes`` with memo key ``key`` and no cells, which is all
+    that ``power._changed_genes`` reads of its start record."""
+    return power._Record(genes, key, [], [], set(), [])
+
+
 class TestChangedGenes:
     """``power._changed_genes`` against a gene-by-gene comparison: the
-    non-zero lanes of two packed keys' XOR at every key width, the empty
-    record, and vectors whose keys are not known."""
+    non-zero lanes of two packed keys' XOR at every key width, and the
+    empty record."""
 
     @staticmethod
     def _scan(old, genes):
@@ -614,8 +691,7 @@ class TestChangedGenes:
                     genes[i] = rng.choice(values)
                 genes = tuple(genes)
                 expected = self._scan(old, genes)
-                assert power._changed_genes(old, genes, key(old) ^ key(genes), width) == expected
-                assert power._changed_genes(old, genes, None, width) == expected
+                assert power._changed_genes(_record_of(old, key(old)), genes, key(genes), width) == expected
                 changed += len(expected)
         assert changed > 1000
 
@@ -638,37 +714,20 @@ class TestChangedGenes:
                 for lanes in ([0], [n - 1], sorted({0, n - 1}), sorted({0, n // 2, n - 1})):
                     for flip in flips:
                         genes = tuple(g ^ flip if i in lanes else g for i, g in enumerate(old))
-                        assert power._changed_genes(old, genes, key(old) ^ key(genes), width) == lanes
+                        assert power._changed_genes(_record_of(old, key(old)), genes, key(genes), width) == lanes
 
     def test_empty_record_changes_every_gene(self, monkeypatch):
-        # The empty record has no key: a fresh evaluator's first pass
-        # compares every gene with host -1.
+        # The empty record has no key: a fresh evaluator's first pass moves
+        # every gene from host -1.
         inst = _spanning_instance()
-        starts = _spy_on_starts(monkeypatch)
+        passes = _spy_on_passes(monkeypatch)
         genes = (0, 1, 0, 1, 2, 2)
         ev = EnergyEvaluator(inst)
+        empty = ev._rec.copy()
         ev.first_violation(genes)
-        assert starts == [(-1,) * 6]
-        assert power._changed_genes(starts[0], genes, None, 1) == list(range(6))
+        assert passes == [((-1,) * 6, genes, None, list(range(6)))]
+        assert empty.genes is None and empty.key is None
         assert ev._rec == _own_record(inst, genes, False)
-
-    def test_passes_of_unpacked_vectors_compare_every_gene(self):
-        # A direct _compute of a vector that was never packed, as the exact
-        # oracle makes, has no key; the next packed pass from its record
-        # falls back to comparing every gene.
-        inst = _spanning_instance()
-        rng = random.Random(61)
-        ev = EnergyEvaluator(inst)
-        for _ in range(30):
-            genes = tuple(rng.randrange(3) for _ in inst.vms)
-            own = _own_record(inst, genes, False)
-            if rng.random() < 0.5:
-                assert ev._compute(genes) == _expected_violation(inst, genes)
-                assert ev._rec.key is None
-                assert ev._rec == dataclasses.replace(own, key=None)
-            else:
-                assert ev.first_violation(genes) == _expected_violation(inst, genes)
-                assert ev._rec == own
 
 
 class TestMemoKeys:
@@ -733,14 +792,17 @@ class TestMemoKeys:
 
 
 def _spy_on_passes(monkeypatch):
-    """(start genes, genes, key XOR or None, changed genes) of each load pass
-    from now on, in pass order."""
+    """(start genes, genes, key XOR, changed genes) of each load pass from now
+    on, in pass order; a pass from the empty record starts from all -1 and
+    has no XOR (None). Each pass's key must be its genes packed."""
     passes = []
     finder = power._changed_genes
 
-    def spied(old, genes, diff, width):
-        changed = finder(old, genes, diff, width)
-        passes.append((old, genes, diff, changed))
+    def spied(rec, genes, key, width):
+        assert key == int.from_bytes(struct.pack(f"<{len(genes)}{power._LANES[width]}", *genes), "little")
+        changed = list(finder(rec, genes, key, width))
+        old = rec.genes or (-1,) * len(genes)
+        passes.append((old, genes, None if rec.key is None else key ^ rec.key, changed))
         return changed
 
     monkeypatch.setattr(power, "_changed_genes", spied)

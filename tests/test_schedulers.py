@@ -292,14 +292,15 @@ class TestGapa:
     def test_load_passes_on_the_worked_example(self, mode, passes, monkeypatch):
         # Recorded before repair and move_host built their edited vectors
         # without telling the evaluator: building a vector adds no pass.
+        # Every pass is of the vector the evaluator packed last.
         counted = []
         kernel = EnergyEvaluator._compute
         monkeypatch.setattr(
-            EnergyEvaluator, "_compute", lambda ev, genes: counted.append(1) or kernel(ev, genes)
+            EnergyEvaluator, "_compute", lambda ev, genes: counted.append(genes is ev._packed) or kernel(ev, genes)
         )
         config = GaConfig(generations=100, seed=3, fitness_mode=mode)
         gapa_schedule(worked_example_instance(), config)
-        assert len(counted) == passes
+        assert len(counted) == passes and all(counted)
 
     def test_stats_record_run_parameters(self):
         inst = random_small_instance(4)
@@ -348,21 +349,32 @@ def _corpus_style_instance() -> ProblemInstance:
 
 
 class TestExact:
-    def test_enumeration_packs_no_vector(self, monkeypatch):
-        # The enumeration yields only host indices, so its passes skip the
-        # pack that checks genes, and still find the first optimum that the
-        # checked public path finds.
+    def test_enumeration_leaves_the_records_a_fresh_evaluator_makes(self, monkeypatch):
+        # Every vector of the enumeration is scored by a checked pass, so each
+        # record it makes equals a fresh evaluator's, key included, and it
+        # finds the first optimum that the public path finds.
         inst = _corpus_style_instance()
+        vectors = list(itertools.product(range(3), repeat=6))
         ev = EnergyEvaluator(inst)
-        scored = [(ev.try_energy(g), g) for g in itertools.product(range(3), repeat=6)]
+        scored = [(ev.try_energy(g), g) for g in vectors]
         feasible = [(e, g) for e, g in scored if e is not None]
         assert 0 < len(feasible) < len(scored)
         joules, genes = min(feasible)
-        packs = []
-        key = EnergyEvaluator._key
-        monkeypatch.setattr(EnergyEvaluator, "_key", lambda self, genes: packs.append(genes) or key(self, genes))
+        made = []
+        kernel = EnergyEvaluator._compute
+
+        def spied(ev, genes):
+            kernel(ev, genes)
+            made.append((genes, ev._rec.copy()))
+
+        monkeypatch.setattr(EnergyEvaluator, "_compute", spied)
         result = exact_schedule(inst)
-        assert packs == []
+        monkeypatch.undo()
+        assert [g for g, _ in made] == vectors
+        for g, rec in made:
+            fresh = EnergyEvaluator(inst)
+            fresh.try_energy(g)
+            assert rec == fresh._records[g]
         assert result.placement == placement_from_genes(genes, inst)
         assert result.energy.total_joules == pytest.approx(joules, rel=1e-12)
 
