@@ -604,11 +604,11 @@ class EnergyEvaluator(_Tables):
 
     def fits(self, vms: Sequence[int], host_idx: int, genes) -> bool:
         """Would assigning every VM in ``vms`` (indices; one VM is ``(i,)``) to
-        ``host_idx`` keep that host feasible, given every other VM's current
-        gene?
+        ``host_idx`` keep that host feasible, given every other VM's gene?
 
-        Only the segments the moved VMs span are checked. A host or VM index
-        out of range raises ValueError before the record moves.
+        Each cell of ``host_idx`` a moved VM spans is counted as the load pass
+        counts it: its VMs after the move, each once, in ascending index
+        order. An index out of range raises ValueError before the record moves.
         """
         if not 0 <= host_idx < self.host_count:
             raise ValueError(f"host index {host_idx!r} outside 0..{self.host_count - 1}")
@@ -617,26 +617,25 @@ class EnergyEvaluator(_Tables):
             if not 0 <= i < n:
                 raise ValueError(f"VM index {i!r} outside 0..{n - 1}")
         self._violation(genes)  # the record now holds the loads of ``genes``
-        pe = self.pe
-        extra_pe: Dict[int, int] = {}
-        extra_mips: Dict[int, float] = {}
+        vms_at = self._rec.vms_at
+        # Each cell a moved VM spans on ``host_idx``, with its VMs after the move.
+        cells: Dict[int, Tuple[int, ...]] = {}
         for i in vms:
-            if genes[i] == host_idx:
-                p, e = 0, 0.0
-            else:
-                p, e = pe[i], self.eff[i][host_idx]
             for off in self.cell_runs[i]:
                 k = off + host_idx
-                extra_pe[k] = extra_pe.get(k, 0) + p
-                extra_mips[k] = extra_mips.get(k, 0.0) + e
+                at = cells.get(k, vms_at[k])
+                j = bisect_left(at, i)
+                cells[k] = at if j < len(at) and at[j] == i else at[:j] + (i,) + at[j:]
+        pe = self.pe
+        eff = self.eff
         pe_cap = self.host_pe[host_idx]
         mips_cap = self.mips_cap[host_idx]
-        rec = self._rec
-        vms_at = rec.vms_at
-        mips_l = rec.mips_load
-        pe_of = pe.__getitem__
-        for k, p in extra_pe.items():
-            if mips_l[k] + extra_mips[k] > mips_cap or sum(map(pe_of, vms_at[k])) + p > pe_cap:
+        for at in cells.values():
+            p, x = 0, 0.0
+            for v in at:
+                p += pe[v]
+                x += eff[v][host_idx]
+            if p > pe_cap or x > mips_cap:
                 return False
         return True
 

@@ -171,10 +171,12 @@ def move_host(c: Genes, prob: float, ev: EnergyEvaluator, rng: random.Random) ->
     """Host-level mutation on the allocation tree.
 
     Each host node, with probability ``prob``, hands all of its VMs to one
-    other host drawn uniformly. The move is made only if the target can hold
-    every moved VM next to its own; otherwise nothing moves. Only the target's
-    load grows, so a feasible input gives a feasible output. The next load
-    pass finds the moved VMs from the memo keys.
+    other host drawn uniformly. The move is made only if
+    :meth:`EnergyEvaluator.fits` finds that the target holds every moved VM
+    next to its own, counted as the load pass counts it; otherwise nothing
+    moves. A host that loses VMs never gains load, so a feasible input gives
+    a feasible output. The next load pass finds the moved VMs from the memo
+    keys.
     """
     m = ev.host_count
     if prob <= 0.0 or m < 2:
@@ -249,6 +251,15 @@ def repair(c: Sequence[int], ev: EnergyEvaluator, rng: random.Random) -> Genes:
 # Solvers
 
 
+def _load_with(vms: Tuple[int, ...], i: int, eff: List[List[float]], h: int) -> float:
+    """MIPS load on host ``h`` of VMs ``vms`` and VM ``i``, summed left to right
+    in ascending index order."""
+    x = 0.0
+    for v in sorted(vms + (i,)):
+        x += eff[v][h]
+    return x
+
+
 def bfd_schedule(instance: ProblemInstance, idle_hosts_powered: bool = False) -> SolveResult:
     """Earliest-start-first ordering with least-incremental-energy host choice.
 
@@ -258,13 +269,18 @@ def bfd_schedule(instance: ProblemInstance, idle_hosts_powered: bool = False) ->
     that was empty; ties go to the lowest host index. Deterministic.
 
     BFD reads the evaluator's instance tables (``power._Tables``) but keeps
-    its own loads, summed in its VM order. Only the hosts that can win are
-    scored: every host in use, plus each host class's lowest-index unused
-    host. A class (``_Tables.host_class``) is the hosts with equal cores,
-    core MIPS and power samples; its unused hosts have the same fit and
-    delta, so none beats the lowest-index one, and the result is exactly
-    that of scoring every host. Each (segment, host) cell keeps its current
-    watts, so scoring a host reads :meth:`_Tables.watts_at` once per segment.
+    its own loads. A cell's MIPS load is the left-to-right sum of its VMs in
+    ascending index order, as the load pass and the reference count it: a
+    VM above every VM in the cell adds its demand to the load, and one below
+    some is counted with the cell's VMs from scratch.
+
+    Only the hosts that can win are scored: every host in use, plus each
+    host class's lowest-index unused host. A class (``_Tables.host_class``)
+    is the hosts with equal cores, core MIPS and power samples; its unused
+    hosts have the same fit and delta, so none beats the lowest-index one,
+    and the result is exactly that of scoring every host. Each (segment,
+    host) cell keeps its current watts, so scoring a host reads
+    :meth:`_Tables.watts_at` once per segment.
     """
     if not instance.vms:
         raise ValueError("bfd_schedule: empty instance")
@@ -279,6 +295,10 @@ def bfd_schedule(instance: ProblemInstance, idle_hosts_powered: bool = False) ->
     # Cell k = segment * m + host, as in the evaluator's record.
     pe_load = [0] * (tab.nseg * m)
     mips_load = [0.0] * (tab.nseg * m)
+    # Each cell's VMs, in the order BFD placed them, and its highest VM index.
+    vms_in: List[Tuple[int, ...]] = [()] * (tab.nseg * m)
+    top = [-1] * (tab.nseg * m)
+    eff = tab.eff
     # An empty cell draws 0 W, or its idle watts when idle hosts are powered.
     watts = [t[0] if idle_hosts_powered else 0.0 for t in tab.tables] * tab.nseg
 
@@ -297,18 +317,20 @@ def bfd_schedule(instance: ProblemInstance, idle_hosts_powered: bool = False) ->
     genes: List[int] = [0] * n
     for i in order:
         p = tab.pe[i]
-        row = tab.eff[i]
+        row = eff[i]
         run = tab.cell_runs[i]
         a, b = tab.spans[i]
-        lens = tab.seg_len[a:b]
+        # Each cell's segment offset and length, paired once per VM rather
+        # than once per host scored.
+        cells = list(zip(run, tab.seg_len[a:b]))
         best_delta = None
         best_h = -1
         for h in candidates:
             e = row[h]
             delta = 0.0
-            for off, seg_len in zip(run, lens):
+            for off, seg_len in cells:
                 k = off + h
-                x = mips_load[k] + e
+                x = mips_load[k] + e if top[k] < i else _load_with(vms_in[k], i, eff, h)
                 if pe_load[k] + p > host_pe[h] or x > mips_cap[h]:
                     break
                 delta += (watts_at(h, x) - watts[k]) * seg_len
@@ -323,7 +345,12 @@ def bfd_schedule(instance: ProblemInstance, idle_hosts_powered: bool = False) ->
         for off in run:
             k = off + best_h
             pe_load[k] += p
-            mips_load[k] += e
+            if top[k] < i:
+                mips_load[k] += e
+                top[k] = i
+            else:
+                mips_load[k] = _load_with(vms_in[k], i, eff, best_h)
+            vms_in[k] += (i,)
             watts[k] = watts_at(best_h, mips_load[k])
         nxt = successor.pop(best_h, None)
         if nxt is not None:

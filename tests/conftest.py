@@ -63,6 +63,16 @@ IBM_ALT_CURVE = PowerModel(
 )
 
 
+def mips_edge_instance() -> ProblemInstance:
+    """Seven 1-PE VMs of 1026.2283791778043 MIPS over one window, on a Dell
+    shape of 16 x 448.97491589022684 MIPS (host 0) and one of 16 x 5000.0
+    MIPS (host 1). Summed one VM at a time, the seven exceed host 0's
+    capacity plus ``MIPS_EPS``; three plus four summed apart do not."""
+    vms = tuple(VmRequest(f"e{i}", 1, 1026.2283791778043, 0, 100) for i in range(7))
+    hosts = (HostSpec(0, 16, 448.97491589022684, DELL_R620), HostSpec(1, 16, 5000.0, DELL_R620))
+    return ProblemInstance(vms, hosts)
+
+
 def mixed_class_instance(
     seed: int, n_vms: int, n_hosts: int, n_starts: int, cap_demand_to_core: bool = True
 ) -> ProblemInstance:

@@ -366,6 +366,13 @@ class TestMain:
                 EXIT_CONFIG,
                 id="solve-gapa-zero-below-full-load-curve",
             ),
+            pytest.param(
+                ["solve", "--solver", "gapa", "--workload", "edge.csv", "--fleet", "mips-edge.json"]
+                + ["--vm-pes", "1", "--vm-mips", "1026.2283791778043", "--mutation", "0.5"]
+                + ["--generations", "50", "--seed", "1"],
+                EXIT_OK,
+                id="solve-gapa-move-at-mips-edge",
+            ),
             pytest.param(["solve", "--workload", "five.csv", "--fleet", "nan.json"], EXIT_CONFIG, id="solve-nan-curve"),
             pytest.param(["solve", "--fleet", "array.json"], EXIT_CONFIG, id="solve-fleet-document-array"),
             pytest.param(["solve", "--fleet", "string.json"], EXIT_CONFIG, id="solve-fleet-document-string"),
@@ -441,6 +448,17 @@ class TestMain:
             "one-host.json": json.dumps({"entries": [one_host]}),
             "zero.json": _fleet_json([0.0] * 11),
             "zero-below-full.json": _fleet_json([0.0] * 10 + [263.0]),
+            # Seven VMs whose summed MIPS exceed host 0's capacity plus
+            # MIPS_EPS in one summing order and not in another.
+            "edge.csv": "day,subject,class_id,group_id,students,slot_mask,duration_s\n6,1,C1,G1,7,1--------------,2700\n",
+            "mips-edge.json": json.dumps(
+                {
+                    "entries": [
+                        {"model": "dell_r620", "count": 1, "pe_count": 16, "mips_per_pe": 448.97491589022684},
+                        {"model": "dell_r620", "count": 1, "pe_count": 16, "mips_per_pe": 5000.0},
+                    ]
+                }
+            ),
             # JSON's NaN token reads as a float.
             "nan.json": _fleet_json([float("nan")] * 11),
             "array.json": "[]",

@@ -33,7 +33,7 @@ from vmplace.model import MIPS_EPS
 from vmplace.power import ordered_sum
 from vmplace.schedulers import _moved_to, move_host
 
-from conftest import dell_host, ibm_host, mixed_class_instance, random_small_instance
+from conftest import dell_host, ibm_host, mips_edge_instance, mixed_class_instance, random_small_instance
 
 
 def _expected_violation(inst, genes):
@@ -159,27 +159,35 @@ class TestAgainstReference:
     @pytest.mark.parametrize("idle", [False, True])
     def test_fits_at_exact_pe_and_mips_fills(self, idle):
         # From a feasible vector, a move only adds load to its target host,
-        # so it fits exactly when the moved vector is feasible.
-        inst = _mixed_fill_instance()
-        n, m = len(inst.vms), len(inst.hosts)
-        ev = EnergyEvaluator(inst, idle)
-        rng = random.Random(71)
-        feasible = [
-            g for g in itertools.product(range(m), repeat=n) if _expected_violation(inst, g) is None
-        ]
-        outcomes = set()
-        for genes in feasible:
-            ev.try_energy(genes)
-            moves = [(i,) for i in range(n)] + [ev.host_vms(h, genes) for h in range(m)]
-            moves += [tuple(rng.sample(range(n), 3)) for _ in range(4)]
-            for vms in moves:
-                for h in range(m):
-                    fit = ev.fits(vms, h, genes)
-                    assert fit == (_expected_violation(inst, _moved_to(genes, vms, h)) is None), (genes, vms, h)
-                    outcomes.add(fit)
-        assert outcomes == {False, True}
+        # so it fits exactly when the moved vector is feasible. A VM listed
+        # twice moves once. On the edge instance the fit is decided by the
+        # order in which the target's MIPS are summed.
+        for inst in (_mixed_fill_instance(), mips_edge_instance()):
+            n, m = len(inst.vms), len(inst.hosts)
+            ev = EnergyEvaluator(inst, idle)
+            rng = random.Random(71)
+            feasible = [
+                g for g in itertools.product(range(m), repeat=n) if _expected_violation(inst, g) is None
+            ]
+            outcomes = set()
+            for genes in feasible:
+                ev.try_energy(genes)
+                moves = [(i,) for i in range(n)] + [(i, i) for i in range(n)]
+                moves += [ev.host_vms(h, genes) for h in range(m)]
+                moves += [tuple(rng.sample(range(n), 3)) for _ in range(4)]
+                for vms in moves:
+                    for h in range(m):
+                        fit = ev.fits(vms, h, genes)
+                        assert fit == (_expected_violation(inst, _moved_to(genes, vms, h)) is None), (genes, vms, h)
+                        outcomes.add(fit)
+            assert outcomes == {False, True}
+        # Seven edge VMs summed one at a time are over host 0; three there
+        # plus four moved, summed apart, would not be.
+        assert not EnergyEvaluator(mips_edge_instance(), idle).fits((3, 4, 5, 6), 0, (0, 0, 0, 1, 1, 1, 1))
         # Exactly full fits; one PE or one MIPS more does not.
+        ev = EnergyEvaluator(_mixed_fill_instance(), idle)
         full, spare = (0, 0, 0, 2, 1, 1, 2, 1), (0, 2, 0, 2, 1, 1, 1, 1)
+        assert ev.fits((1, 1), 0, spare)  # VM 1 listed twice moves once
         assert ev.fits((6,), 1, full)  # Dell MIPS
         assert ev.fits((1, 2), 1, full)  # Dell PEs
         assert not ev.fits((1, 2, 3), 1, full)

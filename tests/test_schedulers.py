@@ -6,9 +6,11 @@ import pytest
 
 from vmplace import (
     BudgetExceededError,
+    DELL_R620,
     EnergyEvaluator,
     GaConfig,
     HostSpec,
+    IBM_X3250,
     NoFeasibleHostError,
     PowerModel,
     ProblemInstance,
@@ -21,10 +23,12 @@ from vmplace import (
     placement_from_genes,
 )
 from vmplace.model import MIPS_EPS
+from vmplace.power import ordered_sum
 
 from conftest import (
     dell_host,
     ibm_host,
+    mips_edge_instance,
     mixed_class_instance,
     random_small_instance,
     worked_example_instance,
@@ -33,12 +37,17 @@ from conftest import (
 
 def _plain_bfd(instance, idle):
     """BFD as specified, scoring every host for every VM: the reference that
-    :func:`bfd_schedule` must match placement for placement."""
+    :func:`bfd_schedule` must match placement for placement. A cell's MIPS
+    load is its VMs' demands summed left to right in index order."""
     segs = instance.segments
     hosts = instance.hosts
+    vms = instance.vms
     cap = instance.cap_demand_to_core
     pe_load = [[0] * len(segs) for _ in hosts]
-    mips_load = [[0.0] * len(segs) for _ in hosts]
+    on = [[[] for _ in segs] for _ in hosts]  # VM indices per (host, segment)
+
+    def mips(h, s, extra):
+        return ordered_sum(vms[i].demand_mips_on(hosts[h], cap) for i in sorted(on[h][s] + extra))
 
     def watts(host, pe_d, mips_d):
         if pe_d == 0 and not idle:
@@ -46,21 +55,20 @@ def _plain_bfd(instance, idle):
         return interpolate_power(host.power_model, min(mips_d / host.total_mips, 1.0))
 
     placement = {}
-    for v in sorted(instance.vms, key=lambda v: (v.start_time, -v.total_mips, v.id)):
+    for i in sorted(range(len(vms)), key=lambda i: (vms[i].start_time, -vms[i].total_mips, vms[i].id)):
+        v = vms[i]
         span = [s for s, (t0, _t1) in enumerate(segs) if v.active_at(t0)]
         best = None
         for h, host in enumerate(hosts):
-            e = v.demand_mips_on(host, cap)
             if any(
-                pe_load[h][s] + v.pe_count > host.pe_count
-                or mips_load[h][s] + e > host.total_mips + MIPS_EPS
+                pe_load[h][s] + v.pe_count > host.pe_count or mips(h, s, [i]) > host.total_mips + MIPS_EPS
                 for s in span
             ):
                 continue
             delta = 0.0
             for s in span:
-                before = watts(host, pe_load[h][s], mips_load[h][s])
-                after = watts(host, pe_load[h][s] + v.pe_count, mips_load[h][s] + e)
+                before = watts(host, pe_load[h][s], mips(h, s, []))
+                after = watts(host, pe_load[h][s] + v.pe_count, mips(h, s, [i]))
                 delta += (after - before) * (segs[s][1] - segs[s][0])
             if best is None or delta < best[0]:
                 best = (delta, h)
@@ -69,7 +77,7 @@ def _plain_bfd(instance, idle):
         h = best[1]
         for s in span:
             pe_load[h][s] += v.pe_count
-            mips_load[h][s] += v.demand_mips_on(hosts[h], cap)
+            on[h][s].append(i)
         placement[v.id] = hosts[h].id
     return placement
 
@@ -83,8 +91,14 @@ class TestBfd:
         assert r1.energy.total_joules == r2.energy.total_joules
 
     def test_result_feasible(self):
-        for seed in range(10):
-            inst = random_small_instance(seed)
+        # Summed in BFD's order, the three VMs below fit host 0; in index
+        # order, as the reference sums them, they do not.
+        vms = tuple(
+            VmRequest(f"v{i}", 1, mips, 0, 100)
+            for i, mips in enumerate((1058.0974115175363, 2068.583056013973, 2869.272356142514))
+        )
+        hosts = (HostSpec(0, 4, 1498.9882059182555, IBM_X3250), HostSpec(1, 16, 2200.0, DELL_R620))
+        for inst in [random_small_instance(seed) for seed in range(10)] + [ProblemInstance(vms, hosts)]:
             try:
                 result = bfd_schedule(inst)
             except NoFeasibleHostError:
@@ -183,9 +197,14 @@ class TestGapa:
         assert r1.stats["trajectory"] == r2.stats["trajectory"]
 
     def test_result_feasible(self):
-        inst = random_small_instance(14)
-        result = gapa_schedule(inst, GaConfig(generations=20, seed=3))
-        assert not check_feasibility(result.placement, inst)
+        # On the edge instance, moves to host 0 fit in one summing order and
+        # not in the other; at this mutation rate the host move tries many.
+        edge = mips_edge_instance()
+        runs = [(random_small_instance(14), GaConfig(generations=20, seed=3))]
+        runs += [(edge, GaConfig(generations=50, mutation_prob=0.5, seed=s)) for s in range(1, 6)]
+        for inst, config in runs:
+            result = gapa_schedule(inst, config)
+            assert not check_feasibility(result.placement, inst), config.seed
 
     def test_trajectory_monotone_with_elitism(self):
         inst = random_small_instance(10)
